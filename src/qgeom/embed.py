@@ -714,11 +714,6 @@ def _dualized(e: Embedding) -> Embedding:
     return cached
 
 
-def _coords_in_rref(basis: np.ndarray, pivots: list[int], v: np.ndarray) -> np.ndarray:
-    # for RREF bases, coordinates are read off the pivot columns
-    return v[pivots]
-
-
 def _fit_semilinear(fa: Embedding, fb: Embedding, budget_state: list[int],
                     budget: int) -> EquivalenceWitness | None:
     """Semilinear witness with fa -> fb, or None; structure-guided.
@@ -739,10 +734,9 @@ def _fit_semilinear(fa: Embedding, fb: Embedding, budget_state: list[int],
     npts = len(Ra.point_map)
     Ba, piv_a = Ra.w_prime.basis, Ra.w_prime.pivots
     Bb, piv_b = Rb.w_prime.basis, Rb.w_prime.pivots
-    xs = np.stack([
-        _coords_in_rref(Ba, piv_a, s.basis[0]) for s in Ra.point_map])
-    ys = np.stack([
-        _coords_in_rref(Bb, piv_b, s.basis[0]) for s in Rb.point_map])
+    # for RREF bases, coordinates are read off the pivot columns
+    xs = np.stack([s.basis[0][piv_a] for s in Ra.point_map])
+    ys = np.stack([s.basis[0][piv_b] for s in Rb.point_map])
 
     qs_wa = QuotientSpace(w, Ra.w_prime)
     qs_wb = QuotientSpace(w, Rb.w_prime)

@@ -2,10 +2,13 @@
 
 Enumerates all k-dimensional subspaces of GF(q)^n by direct construction
 of RREF patterns (choose pivot columns, fill the free cells), builds the
-graph whose edges join subspaces meeting in dimension k-1, and provides
-two independent distance computations: the closed form k - dim(A ∩ B)
-and plain breadth-first search.  Also: stars, the annihilator duality,
-and the empirical distance-regularity check.
+graph whose edges join subspaces meeting in dimension k-1 from the
+member-bitset kernel ``pairwise_intersection_dims``, and provides two
+independent distance computations: the closed form k - dim(A ∩ B) on
+RREF bases, and a level-synchronous BFS that reads only the adjacency
+(frontier @ 0/1 adjacency in float32, exact since all sums stay below
+2^24).  Also: stars, the annihilator duality, and the empirical
+distance-regularity check, counted by the same kind of product.
 """
 
 from __future__ import annotations
@@ -17,13 +20,15 @@ from itertools import combinations
 
 import numpy as np
 
-from ._parallel import run_ordered
 from .errors import BadIndex, Disconnected, DimensionMismatch, NotDistanceRegular, TooLarge
 from .gf import Field
-from .subspace import QuotientSpace, Subspace, rank
+from .subspace import QuotientSpace, Subspace, mat_mul, pairwise_intersection_dims
 
 DEFAULT_ENUM_CAP = 10**6
+# float32 sums of 0/1 products are exact below 2**24, far above this cap
 DISTANCE_CACHE_CAP = 5000
+# byte budget of one block of sources in the float32 matrix products
+_SOURCE_BLOCK_BYTES = 1 << 21
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -148,6 +153,24 @@ class FiniteGraph:
         if not 0 <= a < self.n_vertices:
             raise BadIndex(f"vertex {a} out of range [0, {self.n_vertices})")
 
+    def _dense_adjacency(self) -> np.ndarray:
+        """A[u, v] = how often v is listed in adj[u], as float32 for BLAS."""
+        A = np.zeros((self.n_vertices,) * 2, dtype=np.float32)
+        for u, nbrs in enumerate(self.adj):
+            np.add.at(A[u], nbrs, 1)
+        return A
+
+    def _bfs_block(self, A: np.ndarray, sources: np.ndarray) -> np.ndarray:
+        """Distance rows of the given sources, one frontier @ A per level."""
+        dist = np.full((len(sources), self.n_vertices), -1, dtype=np.int16)
+        dist[np.arange(len(sources)), sources] = 0
+        frontier, level = dist == 0, 0
+        while frontier.any():
+            level += 1
+            frontier = (frontier.astype(np.float32) @ A > 0) & (dist < 0)
+            dist[frontier] = level
+        return dist
+
     def _bfs_row(self, source: int) -> np.ndarray:
         dist = np.full(self.n_vertices, -1, dtype=np.int16)
         dist[source] = 0
@@ -165,28 +188,32 @@ class FiniteGraph:
     def distance_matrix(self) -> np.ndarray:
         """All-pairs BFS distances, -1 for unreachable; cached."""
         if self._dist is None:
-            if self.n_vertices > DISTANCE_CACHE_CAP:
-                raise TooLarge(
-                    f"{self.n_vertices} vertices exceed the distance cache cap")
-            D = np.vstack([self._bfs_row(s) for s in range(self.n_vertices)])
+            n = self.n_vertices
+            if n > DISTANCE_CACHE_CAP:
+                raise TooLarge(f"{n} vertices exceed the distance cache cap")
+            A = self._dense_adjacency()
+            D = np.empty((n, n), dtype=np.int16)
+            step = max(1, _SOURCE_BLOCK_BYTES // (16 * n)) if n else 1
+            for lo in range(0, n, step):
+                D[lo:lo + step] = self._bfs_block(A, np.arange(lo, min(lo + step, n)))
             D.setflags(write=False)
             self._dist = D
         return self._dist
+
+    def _distance_row(self, source: int) -> np.ndarray:
+        if self._dist is not None or self.n_vertices <= DISTANCE_CACHE_CAP:
+            return self.distance_matrix[source]
+        return self._bfs_row(source)
 
     def bfs_distance(self, a: int, b: int) -> int | None:
         """Shortest-path length, or None if unreachable."""
         self._check_index(a)
         self._check_index(b)
-        if self._dist is not None or self.n_vertices <= DISTANCE_CACHE_CAP:
-            d = int(self.distance_matrix[a, b])
-        else:
-            d = int(self._bfs_row(a)[b])
+        d = int(self._distance_row(a)[b])
         return None if d < 0 else d
 
     def is_connected(self) -> bool:
-        if self.n_vertices == 0:
-            return True
-        return bool((self._bfs_row(0) >= 0).all())
+        return self.n_vertices == 0 or bool((self._distance_row(0) >= 0).all())
 
     def diameter(self) -> int:
         D = self.distance_matrix
@@ -210,76 +237,53 @@ def intersection_numbers(g: FiniteGraph) -> dict[int, tuple[int, int, int]]:
     For every vertex pair at distance i, counts the neighbors of the
     second vertex at distances i-1, i, i+1 from the first.  Succeeds iff
     the counts are constant over all pairs; no closed formulas are
-    assumed anywhere.
+    assumed anywhere.  Counts come from float32 products (D == j) @ A^T
+    over row blocks; witnesses and failures are the first pairs in
+    row-major order.
     """
     if not g.is_connected():
         raise Disconnected("intersection numbers need a connected graph")
     D = g.distance_matrix
-    diam = int(D.max())
+    lo_d, hi_d = int(D.min()), int(D.max())
+    At = g._dense_adjacency().T
     table: dict[int, tuple[int, int, int]] = {}
     witness: dict[int, tuple[int, int]] = {}
     n = g.n_vertices
-    for u in range(n):
-        row = D[u]
-        for v in range(n):
-            i = int(row[v])
-            if i == 0:
-                continue
-            dw = row[g.adj[v]]
-            c = int((dw == i - 1).sum())
-            a = int((dw == i).sum())
-            b = int((dw == i + 1).sum())
-            if i not in table:
-                table[i] = (c, a, b)
-                witness[i] = (u, v)
-            elif table[i] != (c, a, b):
-                raise NotDistanceRegular(
-                    f"distance-{i} counts differ: pair {witness[i]} gives "
-                    f"{table[i]}, pair {(u, v)} gives {(c, a, b)}",
-                    (i, witness[i] + table[i], (u, v, (c, a, b))),
-                )
+    step = max(1, _SOURCE_BLOCK_BYTES // (48 * n))
+    for lo in range(0, n, step):
+        Dblk = D[lo:lo + step]
+        # cab[:, u, v] = neighbors of v at distances i-1, i, i+1 from u, i = D[u, v]
+        cab = np.zeros((3,) + Dblk.shape, dtype=np.float32)
+        for j in range(lo_d, hi_d + 1):
+            M = (Dblk == j).astype(np.float32) @ At
+            for s in range(3):
+                np.copyto(cab[s], M, where=Dblk == j + 1 - s)
+        for i in np.unique(Dblk).tolist():
+            if i != 0 and i not in table:
+                u, v = divmod(int(np.argmax(Dblk == i)), n)
+                table[i] = tuple(int(x) for x in cab[:, u, v])
+                witness[i] = (lo + u, v)
+        bad = np.zeros(Dblk.shape, dtype=bool)
+        for i, (c, a, b) in table.items():
+            bad |= (Dblk == i) & ((cab[0] != c) | (cab[1] != a) | (cab[2] != b))
+        if bad.any():
+            u, v = divmod(int(np.argmax(bad)), n)
+            i, pair = int(Dblk[u, v]), (lo + u, v)
+            counts = tuple(int(x) for x in cab[:, u, v])
+            raise NotDistanceRegular(
+                f"distance-{i} counts differ: pair {witness[i]} gives "
+                f"{table[i]}, pair {pair} gives {counts}",
+                (i, witness[i] + table[i], pair + (counts,)),
+            )
     return {i: table[i] for i in sorted(table)}
 
 
 # -- Grassmann graphs ---------------------------------------------------------------
 
-def _adjacency_edges_chunk(args) -> list[tuple[int, int]]:
-    field, stacked, k, lo, hi = args
-    edges = []
-    n_vertices = stacked.shape[0]
-    for i in range(lo, hi):
-        a = stacked[i]
-        for j in range(i + 1, n_vertices):
-            merged = np.vstack([a, stacked[j]])
-            if rank(field, merged) == k + 1:
-                edges.append((i, j))
-    return edges
-
-
-def _pairwise_edges(field: Field, vertices: list[Subspace], k: int,
-                    workers: int = 1) -> list[list[int]]:
-    """Adjacency lists for 'intersection has dimension k-1' on k-dim vertices."""
-    n_vertices = len(vertices)
-    if n_vertices == 0:
-        return []
-    stacked = np.stack([v.basis for v in vertices])
-    n_chunks = max(workers * 4, 1) if workers > 1 else 1
-    bounds = np.linspace(0, n_vertices, n_chunks + 1).astype(int)
-    tasks = [
-        (field, stacked, k, int(lo), int(hi))
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if hi > lo
-    ]
-    adj: list[list[int]] = [[] for _ in range(n_vertices)]
-    for chunk in run_ordered(_adjacency_edges_chunk, tasks, workers):
-        for i, j in chunk:
-            adj[i].append(j)
-            adj[j].append(i)
-    return adj
-
-
 class GrassmannGraph(FiniteGraph):
-    """The graph on all k-dim subspaces of GF(q)^n, adjacency = meeting in dim k-1."""
+    """The graph on all k-dim subspaces of GF(q)^n, adjacency = meeting in dim k-1.
+
+    ``workers`` is kept for API compatibility; the adjacency no longer fans out."""
 
     def __init__(self, field: Field, n: int, k: int, workers: int = 1,
                  cap: int = DEFAULT_ENUM_CAP):
@@ -291,8 +295,8 @@ class GrassmannGraph(FiniteGraph):
         self.n = n
         self.k = k
         vertices = enum_grassmannian(field, n, k, cap=cap)
-        adj = _pairwise_edges(field, vertices, k, workers=workers)
-        super().__init__(vertices, adj)
+        near = pairwise_intersection_dims(vertices) == k - 1
+        super().__init__(vertices, [np.flatnonzero(row) for row in near])
 
 
 @lru_cache(maxsize=32)
@@ -325,18 +329,10 @@ def star(U: Subspace, k: int, cap: int = DEFAULT_ENUM_CAP) -> list[Subspace]:
     field = U.field
     out = []
     for T in enum_grassmannian(field, qs.dim, k - U.dim, cap=cap):
-        rows = np.vstack([U.basis, _lift_rows(field, T, lift)])
+        rows = np.vstack([U.basis, mat_mul(field, T.basis, lift)])
         out.append(Subspace.span(field, rows, n))
     out.sort()
     return out
-
-
-def _lift_rows(field: Field, T: Subspace, lift: np.ndarray) -> np.ndarray:
-    from .subspace import mat_mul
-
-    if T.dim == 0:
-        return np.zeros((0, lift.shape[1]), dtype=np.uint8)
-    return mat_mul(field, T.basis, lift)
 
 
 def duality_map(A: Subspace) -> Subspace:

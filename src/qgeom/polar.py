@@ -40,8 +40,8 @@ from .subspace import (
     as_matrix,
     mat_mul,
     nullspace,
+    pairwise_intersection_dims,
     projective_point_reps,
-    rank,
 )
 
 FORM_KINDS = ("alternating", "quadratic", "hermitian")
@@ -419,20 +419,12 @@ def build_polar_space(field: Field, ambient_dim: int, form: Form,
 
 def dual_polar_graph(ps: PolarSpace) -> FiniteGraph:
     """Graph on the maximal totally singular subspaces; adjacency is
-    meeting in dimension rank - 1.  Cached on the polar space."""
+    meeting in dimension rank - 1, read off the member-bitset kernel.
+    Cached on the polar space."""
     if "dual_graph" in ps._cache:
         return ps._cache["dual_graph"]
-    m = ps.rank
-    verts = ps.maximals
-    t = len(verts)
-    adj: list[list[int]] = [[] for _ in range(t)]
-    for i in range(t):
-        for j in range(i + 1, t):
-            stacked = np.vstack([verts[i].basis, verts[j].basis])
-            if rank(ps.field, stacked) == m + 1:
-                adj[i].append(j)
-                adj[j].append(i)
-    g = FiniteGraph(verts, adj)
+    near = pairwise_intersection_dims(ps.maximals) == ps.rank - 1
+    g = FiniteGraph(ps.maximals, [np.flatnonzero(row) for row in near])
     if not g.is_connected():
         raise Disconnected("dual polar graph came out disconnected")
     ps._cache["dual_graph"] = g

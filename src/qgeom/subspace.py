@@ -13,8 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import AmbientMismatch, DimensionMismatch
+from .errors import AmbientMismatch, DimensionMismatch, TooLarge
 from .gf import Field
+
+# Byte budget of one block of the pairwise bitset kernel.  The bitset
+# table is one row of a block, so it must fit the budget on its own.
+_PAIR_BLOCK_BYTES = 1 << 22
 
 
 # -- raw matrix machinery -----------------------------------------------------
@@ -87,11 +91,10 @@ def _rank_gf2_bits(A: np.ndarray) -> int:
 
 def rank(field: Field, mat) -> int:
     """Row rank; forward elimination only, cheaper than full rref."""
-    if field.p == 2 and field.e == 1:
-        A = np.asarray(mat, dtype=np.uint8)
-        if A.ndim == 2 and A.shape[1] <= 62:
-            return _rank_gf2_bits(A)
-    A = as_matrix(field, mat).copy()
+    A = as_matrix(field, mat)
+    if field.p == 2 and field.e == 1 and A.shape[1] <= 62:
+        return _rank_gf2_bits(A)
+    A = A.copy()
     rows, cols = A.shape
     mulT, addT = field.mul_table, field.add_table
     negT, invT = field.neg_table, field.inv_table
@@ -368,6 +371,63 @@ def multi_intersection(spaces: list[Subspace]) -> Subspace:
     n = spaces[0].ambient_dim
     anns = [s.annihilator().basis for s in spaces]
     return Subspace(field, n, nullspace(field, np.vstack(anns)))
+
+
+def pairwise_intersection_dims(spaces: list[Subspace]) -> np.ndarray:
+    """The (t, t) int16 table of dim(A ∩ B) over subspaces of one GF(q)^n.
+
+    Each subspace becomes the bitset of its q^dim member vectors, packed
+    in uint64 words, and dim(A ∩ B) = log_q popcount(a & b).  The members
+    of all inputs come from one product of the coefficient combinations
+    with the stacked bases (padded with zero rows to the largest
+    dimension).  Rows are paired in blocks whose temporaries stay under a
+    fixed byte budget; raises TooLarge if the bitset table alone would
+    exceed it.
+    """
+    t = len(spaces)
+    if t == 0:
+        return np.zeros((0, 0), dtype=np.int16)
+    first = spaces[0]
+    for s in spaces[1:]:
+        first._check_compatible(s)
+    field, n, q = first.field, first.ambient_dim, first.field.q
+    words = -(-q**n // 64)
+    row_bytes = t * words * 8
+    if row_bytes > _PAIR_BLOCK_BYTES:
+        raise TooLarge(f"member bitsets of {t} subspaces of GF({q})^{n} take "
+                       f"{row_bytes} bytes, over the {_PAIR_BLOCK_BYTES}-byte budget")
+    d = max(s.dim for s in spaces)
+    bases = np.zeros((d, t, n), dtype=np.uint8)
+    for i, s in enumerate(spaces):
+        bases[:s.dim, i] = s.basis
+    combos = np.zeros((q**d, d), dtype=np.uint8)
+    if d:
+        combos[:] = np.array(np.unravel_index(np.arange(q**d), (q,) * d)).T
+    digits = q ** np.arange(n, dtype=np.int64)
+    # table[w, i] = word w of the bitset of spaces[i]
+    table = np.zeros((words, t), dtype=np.uint64)
+    # one product for all inputs, unless the members outgrow the budget
+    # (about 9n + 16 bytes each, with their int64 codes)
+    step = max(1, _PAIR_BLOCK_BYTES // (q**d * (9 * n + 16)))
+    for lo in range(0, t, step):
+        part = bases[:, lo:lo + step]
+        c = part.shape[1]
+        members = mat_mul(field, combos, part.reshape(d, c * n)).reshape(q**d, c, n)
+        # member vector -> its index in GF(q)^n read as base-q digits
+        codes = members.astype(np.int64) @ digits
+        owner = np.broadcast_to(np.arange(lo, lo + c), codes.shape)
+        np.bitwise_or.at(table, (codes >> 6, owner),
+                         np.left_shift(np.uint64(1), (codes & 63).astype(np.uint64)))
+    powers = q ** np.arange(n + 1, dtype=np.int64)
+    out = np.empty((t, t), dtype=np.int16)
+    # one word at a time: at most 13 bytes of temporaries per pair
+    rows = max(1, _PAIR_BLOCK_BYTES // (16 * t))
+    for lo in range(0, t, rows):
+        counts = np.zeros((min(rows, t - lo), t), dtype=np.int32)
+        for word in table:
+            counts += np.bitwise_count(word[lo:lo + rows, None] & word[None, :])
+        out[lo:lo + rows] = np.searchsorted(powers, counts)
+    return out
 
 
 def projective_point_reps(field: Field, n: int) -> np.ndarray:

@@ -73,6 +73,15 @@ def test_rank_matches_rref():
             assert rank(f, A) == rref(f, A)[0].shape[0]
 
 
+def test_rank_gf2_fast_path_range_check():
+    bad = [[2, 0], [0, 2]]
+    with pytest.raises(ValueError) as from_rref:
+        rref(GF2, bad)
+    with pytest.raises(ValueError) as from_rank:
+        rank(GF2, bad)
+    assert str(from_rank.value) == str(from_rref.value) == "entry 2 out of range for GF(2)"
+
+
 def test_span_canonical_across_generating_sets():
     """Random regenerations of one subspace all share one encoding."""
     rng = np.random.default_rng(3)
