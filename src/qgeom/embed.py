@@ -67,7 +67,9 @@ from .subspace import (
     nullspace,
     projective_point_reps,
     rank,
+    rank_stack,
     rref,
+    stack_bases,
 )
 
 BFS_CROSSCHECK_CAP = 400
@@ -191,25 +193,27 @@ def verify_isometric(e: Embedding, crosscheck: str | bool = "auto") -> dict:
     if do_cross:
         G = grassmann_graph_cached(e.field, n, k)
         DT = G.distance_matrix
-        idx = [G.index_of(img) for img in e.images]
+        idx = np.array([G.index_of(img) for img in e.images], dtype=np.intp)
 
-    t = len(e.images)
-    pairs = 0
-    for i in range(t):
-        for j in range(i + 1, t):
-            expected = int(DS[i, j])
-            got = k - e.images[i].intersection_dim(e.images[j])
-            if got != expected:
-                raise DistanceViolation(
-                    f"pair ({i}, {j}): source distance {expected}, image "
-                    f"distance {got}", (i, j, expected, got))
-            if do_cross and int(DT[idx[i], idx[j]]) != got:
-                raise QGeomError(
-                    f"Grassmann BFS distance disagrees with k - dim "
-                    f"intersection at image pair ({i}, {j})")
-            pairs += 1
+    # k - dim(f(M_i) ∩ f(M_j)) = rank [f(M_i); f(M_j)] - k, all pairs at once
+    bases = stack_bases(e.field, e.images, n)
+    I, J = np.triu_indices(len(bases), 1)
+    got = rank_stack(e.field, np.concatenate([bases[I], bases[J]], axis=1)) - k
+    bad = got != DS[I, J]
+    if do_cross:
+        bad |= DT[idx[I], idx[J]] != got
+    if bad.any():
+        p = int(np.argmax(bad))
+        i, j, expected, d = int(I[p]), int(J[p]), int(DS[I[p], J[p]]), int(got[p])
+        if d != expected:
+            raise DistanceViolation(
+                f"pair ({i}, {j}): source distance {expected}, image "
+                f"distance {d}", (i, j, expected, d))
+        raise QGeomError(
+            f"Grassmann BFS distance disagrees with k - dim "
+            f"intersection at image pair ({i}, {j})")
     e._verified = True
-    return {"pairs_checked": pairs, "bfs_crosschecked": bool(do_cross)}
+    return {"pairs_checked": len(I), "bfs_crosschecked": bool(do_cross)}
 
 
 # -- canonical construction ----------------------------------------------------------
@@ -368,43 +372,40 @@ def check_line_images(ps: PolarSpace, g: Embedding, q_map) -> dict:
     subspaces of a single 2-dim subspace of W; anything else is a
     PartialLine, which is impossible over a finite field.
     """
-    fieldq = ps.field
-    pair_checks = 0
-    for l in range(len(ps.lines)):
-        pts = ps.line_point_indices(l)
-        maxls = ps.maximals_through_line(l)
-        for a in range(len(pts)):
-            for b in range(a + 1, len(pts)):
-                span2 = q_map[pts[a]] + q_map[pts[b]]
-                for t in maxls:
-                    if not g.images[t].contains(span2):
-                        raise ContainmentViolation(
-                            f"image of maximal {t} misses q(P) + q(Q) for "
-                            f"points ({pts[a]}, {pts[b]})",
-                            (pts[a], pts[b], t))
-                    pair_checks += 1
-    full_lines = 0
-    for l in range(len(ps.lines)):
-        pts = ps.line_point_indices(l)
+    fieldq, n = ps.field, g.target_n
+    q_bases = stack_bases(fieldq, q_map, n)
+    lines = np.array([ps.line_point_indices(l) for l in range(len(ps.lines))],
+                     dtype=np.intp).reshape(len(ps.lines), fieldq.q + 1)
+    triples = [(P, Q, t) for l, pts in enumerate(lines.tolist())
+               for a, P in enumerate(pts) for Q in pts[a + 1:]
+               for t in ps.maximals_through_line(l)]
+    # g(M) contains q(P) + q(Q) iff rank [g(M); q(P); q(Q)] = dim g(M)
+    P, Q, T = np.array(triples, dtype=np.intp).reshape(-1, 3).T
+    ranks = rank_stack(fieldq, np.concatenate(
+        [stack_bases(fieldq, g.images, n)[T], q_bases[P], q_bases[Q]], axis=1))
+    bad = np.flatnonzero(ranks != np.array([S.dim for S in g.images])[T])
+    if bad.size:
+        a, b, t = triples[bad[0]]
+        raise ContainmentViolation(
+            f"image of maximal {t} misses q(P) + q(Q) for points ({a}, {b})",
+            (a, b, t))
+    spans = rank_stack(fieldq, q_bases[lines].reshape(
+        len(lines), lines.shape[1] * q_bases.shape[1], n))
+    for l, pts in enumerate(lines.tolist()):
         image_points = {q_map[i]._bytes for i in pts}
-        stacked = np.vstack([q_map[i].basis for i in pts])
-        span = Subspace.span(fieldq, stacked, g.target_n)
-        if span.dim != 2 or len(image_points) != fieldq.q + 1:
+        if spans[l] != 2 or len(image_points) != fieldq.q + 1:
             raise PartialLine(
                 f"line {l} maps to {len(image_points)} points spanning "
-                f"dimension {span.dim}; a full line has {fieldq.q + 1} "
+                f"dimension {spans[l]}; a full line has {fieldq.q + 1} "
                 "points in dimension 2")
-        expected = {
-            Subspace.span(fieldq, v, g.target_n)._bytes
-            for v in mat_mul(fieldq, projective_point_reps(fieldq, 2), span.basis)
-        }
-        if image_points != expected:
+        # q + 1 distinct subspaces spanning a plane are its q + 1 points
+        # exactly when each of them is one-dimensional
+        if any(q_map[i].dim != 1 for i in pts):
             raise PartialLine(f"line {l} image is a proper subset of a line")
-        full_lines += 1
     return {
         "lines_checked": len(ps.lines),
-        "full_lines": full_lines,
-        "containments_checked": pair_checks,
+        "full_lines": len(lines),
+        "containments_checked": len(triples),
         "lines_ok": True,
     }
 

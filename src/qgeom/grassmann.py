@@ -123,7 +123,8 @@ class FiniteGraph:
     def __init__(self, vertices, adjacency):
         self.vertices = tuple(vertices)
         self.adj = tuple(
-            np.array(sorted(int(x) for x in nbrs), dtype=np.int32)
+            np.sort((nbrs if isinstance(nbrs, np.ndarray)
+                     else np.fromiter(nbrs, dtype=np.int64)).astype(np.int32))
             for nbrs in adjacency
         )
         if len(self.adj) != len(self.vertices):

@@ -42,6 +42,8 @@ from .subspace import (
     nullspace,
     pairwise_intersection_dims,
     projective_point_reps,
+    rank_stack,
+    stack_bases,
 )
 
 FORM_KINDS = ("alternating", "quadratic", "hermitian")
@@ -278,14 +280,22 @@ class PolarSpace:
     def maximal_index(self, M: Subspace) -> int:
         return self._maximal_index[M]
 
+    def _incidence(self, tag: str, spaces) -> tuple[tuple[int, ...], ...]:
+        """For each of the given subspaces, the indices of the maximals
+        containing it, all by one batched elimination: S lies in M iff
+        rank [M; S] = m.  Cached under ``tag``."""
+        if tag not in self._cache:
+            bases = stack_bases(self.field, self.maximals, self.ambient_dim)
+            subs = stack_bases(self.field, spaces, self.ambient_dim)
+            t, s = len(bases), len(subs)
+            I, T = np.divmod(np.arange(s * t), t)
+            ranks = rank_stack(self.field, np.concatenate([bases[T], subs[I]], axis=1))
+            self._cache[tag] = tuple(tuple(np.flatnonzero(row).tolist())
+                                     for row in (ranks == self.rank).reshape(s, t))
+        return self._cache[tag]
+
     def maximals_through_point(self, i: int) -> tuple[int, ...]:
-        key = ("maxthru", i)
-        if key not in self._cache:
-            P = self.points[i]
-            self._cache[key] = tuple(
-                t for t, M in enumerate(self.maximals) if M.contains(P)
-            )
-        return self._cache[key]
+        return self._incidence("maxthru", self.points)[i]
 
     def line_point_indices(self, l: int) -> tuple[int, ...]:
         key = ("linepts", l)
@@ -299,23 +309,17 @@ class PolarSpace:
         return self._cache[key]
 
     def maximals_through_line(self, l: int) -> tuple[int, ...]:
-        key = ("maxthruline", l)
-        if key not in self._cache:
-            L = self.lines[l]
-            self._cache[key] = tuple(
-                t for t, M in enumerate(self.maximals) if M.contains(L)
-            )
-        return self._cache[key]
+        return self._incidence("maxthruline", self.lines)[l]
 
     def source_distance_matrix(self) -> np.ndarray:
-        """Pairwise m - dim(M_i ∩ M_j) over the maximals."""
+        """Pairwise m - dim(M_i ∩ M_j) = rank [M_i; M_j] - m over the
+        maximals, by one batched elimination."""
         if "dmat" not in self._cache:
-            t = len(self.maximals)
-            D = np.zeros((t, t), dtype=np.int16)
-            for i in range(t):
-                for j in range(i + 1, t):
-                    d = self.rank - self.maximals[i].intersection_dim(self.maximals[j])
-                    D[i, j] = D[j, i] = d
+            bases = stack_bases(self.field, self.maximals, self.ambient_dim)
+            I, J = np.triu_indices(len(bases), 1)
+            D = np.zeros((len(bases),) * 2, dtype=np.int16)
+            D[I, J] = D[J, I] = rank_stack(
+                self.field, np.concatenate([bases[I], bases[J]], axis=1)) - self.rank
             D.setflags(write=False)
             self._cache["dmat"] = D
         return self._cache["dmat"]

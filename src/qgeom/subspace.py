@@ -121,6 +121,51 @@ def rank(field: Field, mat) -> int:
     return r
 
 
+def rank_stack(field: Field, stack) -> np.ndarray:
+    """Row ranks of a (B, r, n) stack of matrices, as a (B,) int64 array.
+
+    The forward elimination of :func:`rank`, run on every matrix of the
+    stack at once: column by column, each matrix takes its own pivot row
+    and clears the rows below it.  Works in blocks along B whose
+    temporaries stay under the pair-kernel byte budget.  Entries are
+    range-checked like :func:`rank`.
+    """
+    S = np.asarray(stack, dtype=np.uint8)
+    if S.ndim != 3:
+        raise DimensionMismatch(f"expected a (B, r, n) stack, got ndim={S.ndim}")
+    if S.size and int(S.max()) >= field.q:
+        raise ValueError(f"entry {int(S.max())} out of range for {field}")
+    B, r, n = S.shape
+    out = np.zeros(B, dtype=np.int64)
+    if r == 0 or n == 0:
+        return out
+    # the block copy plus about three (b, r, n) byte temporaries
+    step = max(1, _PAIR_BLOCK_BYTES // (4 * r * n))
+    mulT, addT = field.mul_table, field.add_table
+    negT, invT = field.neg_table, field.inv_table
+    rows = np.arange(r)
+    for lo in range(0, B, step):
+        A = S[lo:lo + step].copy()
+        rk = out[lo:lo + step]  # a view: the ranks count up in out
+        for c in range(n):
+            cand = (A[:, :, c] != 0) & (rows >= rk[:, None])
+            hb = np.flatnonzero(cand.any(axis=1))
+            if hb.size == 0:
+                continue
+            top = rk[hb]
+            p = cand[hb].argmax(axis=1)
+            prow = A[hb, p]
+            A[hb, p] = A[hb, top]
+            prow = mulT[invT[prow[:, c]][:, None], prow]
+            A[hb, top] = prow
+            sub = A[hb]
+            f = negT[sub[:, :, c]]
+            f[rows <= top[:, None]] = 0
+            A[hb] = addT[sub, mulT[f[:, :, None], prow[:, None, :]]]
+            rk[hb] += 1
+    return out
+
+
 def nullspace(field: Field, mat) -> np.ndarray:
     """Canonical (RREF) basis of ``{x : mat @ x = 0}``, as rows."""
     A, pivots = rref(field, mat)
@@ -427,6 +472,19 @@ def pairwise_intersection_dims(spaces: list[Subspace]) -> np.ndarray:
         for word in table:
             counts += np.bitwise_count(word[lo:lo + rows, None] & word[None, :])
         out[lo:lo + rows] = np.searchsorted(powers, counts)
+    return out
+
+
+def stack_bases(field: Field, spaces, ambient_dim: int) -> np.ndarray:
+    """The (t, d, n) uint8 stack of the subspaces' RREF bases, each padded
+    with zero rows to the largest dimension d; the input to rank_stack."""
+    d = max((s.dim for s in spaces), default=0)
+    out = np.zeros((len(spaces), d, ambient_dim), dtype=np.uint8)
+    for i, s in enumerate(spaces):
+        field.check_same(s.field)
+        if s.ambient_dim != ambient_dim:
+            raise AmbientMismatch(f"{s.ambient_dim} vs {ambient_dim}")
+        out[i, :s.dim] = s.basis
     return out
 
 
