@@ -74,7 +74,8 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     p = _Parser(prog="qgeom", description=__doc__)
     p.add_argument("--workers", type=int, default=1,
-                   help="parallel workers; results are identical for any count")
+                   help="accepted for compatibility; has no effect, every "
+                        "computation runs in this process")
     p.add_argument("--field-cap", type=int, default=DEFAULT_FIELD_CAP,
                    help="maximum permitted field order")
     sub = p.add_subparsers(dest="command", required=True)
@@ -276,8 +277,8 @@ def _cmd_embed(args, cap: int) -> int:
 
     result = search_embeddings(ps, args.n, args.k, anchor=args.anchor,
                                workers=args.workers)
-    # node counts depend on work partitioning; they stay out of the
-    # machine output so files are byte-identical across worker counts
+    # the node count describes the search, not its result; it stays out
+    # of the machine output, which holds only the census itself
     out_obj.update({
         "anchored": result.anchored,
         "anchor_index": result.anchor_index,

@@ -26,10 +26,10 @@ exceptions rather than passing silently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from operator import and_, itemgetter
 
 import numpy as np
 
-from ._parallel import run_ordered
 from .errors import (
     AmbientMismatch,
     Anomaly,
@@ -138,6 +138,8 @@ def embedding_from_json_obj(ps: PolarSpace, target_k: int, obj,
         if not (0 <= i < len(ps.maximals)) or ps.maximals[i] != M:
             raise DimensionMismatch(
                 f"entry {i} does not match the polar space's maximal list")
+        if images[i] is not None:
+            raise DimensionMismatch(f"entry {i} appears more than once")
         images[i] = Subspace.span(
             fieldq, np.array(entry["image_basis"], dtype=np.uint8), n)
     if any(img is None for img in images):
@@ -497,57 +499,65 @@ class SearchResult:
         return iter(self.embeddings)
 
 
-def _initial_future(DT, DS, prefix, t0):
-    T = DS.shape[0]
-    N = DT.shape[0]
-    fut = np.ones((T - t0, N), dtype=bool)
-    for s, v in enumerate(prefix):
-        fut &= DT[v][None, :] == DS[s, t0:][:, None]
-    return fut
+def _distance_masks(DT: np.ndarray, dmax: int) -> list[list[int]]:
+    """masks[v][d]: the bitset (a Python int) of the targets w with DT[v, w] == d."""
+    per_d = [[int.from_bytes(row.tobytes(), "little")
+              for row in np.packbits(DT == d, axis=1, bitorder="little")]
+             for d in range(dmax + 1)]
+    return [list(row) for row in zip(*per_d)]
 
 
-def _distance_dfs(DT, DS, prefix, future, out) -> int:
-    """Backtracking census; appends full index tuples to out, returns node count."""
-    T = DS.shape[0]
+def _bitset_dfs(masks, DS, prefix, out) -> int:
+    """Backtracking census over bitset domains.
+
+    Each unassigned maximal keeps its domain of still-possible targets as
+    one int; assigning v to maximal t narrows every later domain by one
+    AND with the targets at the required distance from v, and v is pruned
+    when any of them empties.  Candidates are tried in ascending order,
+    so full index tuples are appended to out in lexicographic order.
+    Returns the node count: every candidate tried, on every level.
+    """
+    T = len(DS)
     t0 = len(prefix)
+    if t0 == T:
+        out.append(tuple(prefix))
+        return 0
+    domains = []
+    for t in range(t0, T):
+        dom = (1 << len(masks)) - 1
+        for s, v in enumerate(prefix):
+            dom &= masks[v][DS[s][t]]
+        domains.append(dom)
+    # pick[t](masks[v]) lists the masks for the maximals after t; the
+    # trailing 0 makes it a tuple even for one maximal, and map drops it
+    pick = [itemgetter(*DS[t][t + 1:], 0) for t in range(T - 1)]
     nodes = 0
     assign = list(prefix)
 
-    def rec(t, fut):
+    def rec(t, doms):
         nonlocal nodes
-        cand = np.flatnonzero(fut[0])
+        cand, rest = doms[0], doms[1:]
+        nodes += cand.bit_count()
         if t == T - 1:
-            nodes += len(cand)
-            for v in cand:
-                out.append(tuple(assign) + (int(v),))
+            while cand:
+                low = cand & -cand
+                out.append((*assign, low.bit_length() - 1))
+                cand ^= low
             return
-        for v in cand:
-            nodes += 1
-            nf = fut[1:] & (DT[v][None, :] == DS[t, t + 1:][:, None])
-            if not nf.any(axis=1).all():
+        get = pick[t]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            nxt = list(map(and_, rest, get(masks[v])))
+            if 0 in nxt:
                 continue
-            assign.append(int(v))
-            rec(t + 1, nf)
+            assign.append(v)
+            rec(t + 1, nxt)
             assign.pop()
 
-    if t0 == T:
-        out.append(tuple(assign))
-        return 0
-    rec(t0, future)
+    rec(t0, domains)
     return nodes
-
-
-def _search_chunk(args):
-    DT, DS, prefix, chunk = args
-    out: list[tuple[int, ...]] = []
-    nodes = 0
-    t0 = len(prefix)
-    for v in chunk:
-        pre = list(prefix) + [int(v)]
-        fut = _initial_future(DT, DS, pre, t0 + 1)
-        if fut.any(axis=1).all():
-            nodes += _distance_dfs(DT, DS, pre, fut, out)
-    return out, nodes
 
 
 def search_embeddings(ps: PolarSpace, n: int, k: int, anchor: bool = True,
@@ -561,7 +571,9 @@ def search_embeddings(ps: PolarSpace, n: int, k: int, anchor: bool = True,
     canonical embedding's first image, which is sound for counting
     equivalence classes because the Grassmann graph is vertex-transitive
     under invertible linear maps.  Results come back in lexicographic
-    index order regardless of the worker count.
+    index order.  The search runs in this process; ``workers`` is
+    accepted for compatibility and changes nothing, neither the tuples
+    nor the node count.
     """
     if n != ps.ambient_dim:
         raise AmbientMismatch(
@@ -589,29 +601,16 @@ def search_embeddings(ps: PolarSpace, n: int, k: int, anchor: bool = True,
             # which will simply come back empty if no embedding exists
             anchored = False
 
-    t0 = len(prefix)
-    fut = _initial_future(DT, DS, prefix, t0)
     tuples: list[tuple[int, ...]] = []
-    total_nodes = 0
-    if DS.shape[0] == t0:
-        tuples.append(tuple(prefix))
-    else:
-        cand = np.flatnonzero(fut[0])
-        if workers <= 1:
-            total_nodes = _distance_dfs(DT, DS, prefix, fut, tuples)
-        else:
-            chunks = [c for c in np.array_split(cand, workers * 4) if len(c)]
-            tasks = [(DT, DS, tuple(prefix), [int(x) for x in c]) for c in chunks]
-            for out, nodes in run_ordered(_search_chunk, tasks, workers):
-                tuples.extend(out)
-                total_nodes += nodes
+    nodes = _bitset_dfs(_distance_masks(DT, int(DS.max())), DS.tolist(),
+                        prefix, tuples)
 
     embeddings = [
         Embedding(ps, k, [target.vertices[v] for v in tup],
                   meta={"anchored": anchored, "anchor_index": anchor_index})
         for tup in tuples
     ]
-    return SearchResult(embeddings, anchored, anchor_index, total_nodes, tuples)
+    return SearchResult(embeddings, anchored, anchor_index, nodes, tuples)
 
 
 # -- equivalence witnesses -------------------------------------------------------------

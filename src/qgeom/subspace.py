@@ -35,6 +35,31 @@ def as_matrix(field: Field, data) -> np.ndarray:
     return A
 
 
+def _packed_gf2(field: Field, A: np.ndarray) -> bool:
+    """Does the packed GF(2) path take this (range-checked) matrix?"""
+    return field.q == 2 and A.shape[1] <= 62
+
+
+def _echelon_gf2(A: np.ndarray) -> dict[int, int]:
+    """Bit-packed GF(2) echelon form of the rows of a 0/1 matrix.
+
+    Each row becomes one int with column c at bit cols - 1 - c, so the
+    leftmost nonzero column is the highest set bit.  Returns the pivot
+    rows keyed by their bit_length: one per rank, forward-reduced only.
+    """
+    cols = A.shape[1]
+    weights = np.int64(1) << np.arange(cols - 1, -1, -1, dtype=np.int64)
+    pivots: dict[int, int] = {}
+    for x in (A.astype(np.int64) @ weights).tolist():
+        while x:
+            lead = x.bit_length()
+            if lead not in pivots:
+                pivots[lead] = x
+                break
+            x ^= pivots[lead]
+    return pivots
+
+
 def rref(field: Field, mat) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form of the row space.
 
@@ -42,8 +67,22 @@ def rref(field: Field, mat) -> tuple[np.ndarray, list[int]]:
     entries are 1 and pivot columns are elsewhere 0.  Idempotent; the
     output is the unique canonical representative of the row space.
     """
-    A = as_matrix(field, mat).copy()
+    A = as_matrix(field, mat)
     rows, cols = A.shape
+    if _packed_gf2(field, A):
+        echelon = _echelon_gf2(A)
+        leads = sorted(echelon)
+        for i, lead in enumerate(leads):
+            # clear this pivot column from the rows with higher leads; the
+            # pivot row is already clear of every lower pivot column
+            for high in leads[i + 1:]:
+                if echelon[high] >> (lead - 1) & 1:
+                    echelon[high] ^= echelon[lead]
+        leads.reverse()
+        packed = np.array([echelon[lead] for lead in leads], dtype=np.int64)
+        R = (packed[:, None] >> np.arange(cols - 1, -1, -1)) & 1
+        return R.astype(np.uint8), [cols - lead for lead in leads]
+    A = A.copy()
     mulT, addT = field.mul_table, field.add_table
     negT, invT = field.neg_table, field.inv_table
     r = 0
@@ -71,29 +110,11 @@ def rref(field: Field, mat) -> tuple[np.ndarray, list[int]]:
     return A[:r], pivots
 
 
-def _rank_gf2_bits(A: np.ndarray) -> int:
-    """GF(2) rank via bit-packed elimination; rows fit in Python ints."""
-    cols = A.shape[1]
-    packed = (A.astype(np.int64) @ (np.int64(1) << np.arange(cols, dtype=np.int64)))
-    pivots: dict[int, int] = {}
-    r = 0
-    for x in packed.tolist():
-        while x:
-            lead = x.bit_length()
-            if lead in pivots:
-                x ^= pivots[lead]
-            else:
-                pivots[lead] = x
-                r += 1
-                break
-    return r
-
-
 def rank(field: Field, mat) -> int:
     """Row rank; forward elimination only, cheaper than full rref."""
     A = as_matrix(field, mat)
-    if field.p == 2 and field.e == 1 and A.shape[1] <= 62:
-        return _rank_gf2_bits(A)
+    if _packed_gf2(field, A):
+        return len(_echelon_gf2(A))
     A = A.copy()
     rows, cols = A.shape
     mulT, addT = field.mul_table, field.add_table

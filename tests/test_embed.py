@@ -4,6 +4,7 @@ import pytest
 from qgeom.errors import (
     Anomaly,
     ContainmentViolation,
+    DimensionMismatch,
     DistanceViolation,
     LemmaViolation,
     NoValidU,
@@ -391,6 +392,7 @@ def test_search_workers_deterministic(w32_in_4):
     r1 = search_embeddings(ps, 4, 2, anchor=True, workers=1)
     r2 = search_embeddings(ps, 4, 2, anchor=True, workers=3)
     assert r1.index_tuples == r2.index_tuples
+    assert r1.nodes == r2.nodes
 
 
 def test_anchor_vertex_transitivity(w32_in_5):
@@ -511,3 +513,10 @@ def test_embedding_json_roundtrip(w32_in_5):
     e = canonical_embedding(w32_in_5, 3)
     rebuilt = embedding_from_json_obj(w32_in_5, 3, e.as_json_obj())
     assert rebuilt._key == e._key
+
+
+def test_embedding_json_repeated_entry_rejected(w32_in_5):
+    table = canonical_embedding(w32_in_5, 3).as_json_obj()
+    twice = table + [dict(table[0], image_basis=table[1]["image_basis"])]
+    with pytest.raises(DimensionMismatch, match="entry 0 appears more than once"):
+        embedding_from_json_obj(w32_in_5, 3, twice)
