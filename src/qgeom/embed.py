@@ -56,19 +56,21 @@ from .grassmann import (
 )
 from .polar import PolarSpace, dual_polar_graph
 from .subspace import (
+    _PAIR_BLOCK_BYTES,
     QuotientSpace,
     Subspace,
-    _reduce_against,
+    annihilators,
     reduce_rows_against,
     invert_matrix,
     mat_frobenius,
     mat_mul,
     multi_intersection,
     nullspace,
+    nullspace_stack,
     projective_point_reps,
     rank,
     rank_stack,
-    rref,
+    span_stack,
     stack_bases,
 )
 
@@ -236,42 +238,50 @@ def find_star_subspaces(ps: PolarSpace, k: int, limit: int | None = 1
     if d == 0:
         return [Subspace.zero(ps.field, n)]
     fieldq = ps.field
-    maxls = ps.maximals
-    pair_states = []
-    for i in range(len(maxls)):
-        for j in range(i, len(maxls)):
-            R, piv = rref(fieldq, np.vstack([maxls[i].basis, maxls[j].basis]))
-            pair_states.append((R, piv))
-
+    bases = stack_bases(fieldq, ps.maximals, n)
+    I, J = np.triu_indices(len(bases))
+    # M_i + M_j for every pair i <= j, grown below by the chosen rows
+    pairs = np.concatenate([bases[I], bases[J]], axis=1)
     reps = projective_point_reps(fieldq, n)
     found: list[Subspace] = []
     seen: set = set()
 
-    def admissible(states, v) -> bool:
-        for R, piv in states:
-            if not _reduce_against(fieldq, R, piv, v).any():
-                return False
-        return True
+    def admissible(start, rows):
+        """Candidates from start on that avoid every grown pair sum: v lies
+        in a sum exactly when every row of the sum's annihilator kills v."""
+        grown = np.concatenate(
+            [pairs, np.broadcast_to(np.array(rows, dtype=np.uint8).reshape(-1, n),
+                                    (len(pairs), len(rows), n))], axis=1)
+        K, dims = nullspace_stack(fieldq, grown)
+        cand = reps[start:]
+        if not dims.all() or not len(cand):
+            return np.zeros(0, dtype=np.intp)
+        ok = np.ones(len(cand), dtype=bool)
+        step = max(1, _PAIR_BLOCK_BYTES // (n * len(cand)))
+        for lo in range(0, len(K), step):
+            dm = dims[lo:lo + step]
+            rows_ann = K[lo:lo + step][np.arange(n) < dm[:, None]]
+            kills = mat_mul(fieldq, rows_ann, cand.T) == 0
+            inside = np.logical_and.reduceat(kills, np.cumsum(dm) - dm, axis=0)
+            ok &= ~inside.any(axis=0)
+        return start + np.flatnonzero(ok)
 
-    def grow(states, start, rows):
-        if len(rows) == d:
+    def grow(start, rows):
+        for t in admissible(start, rows).tolist():
+            if len(rows) + 1 < d:
+                if grow(t + 1, rows + [reps[t]]):
+                    return True
+                continue
             # one subspace can arise from several generating sequences
-            U = Subspace.span(fieldq, np.array(rows, dtype=np.uint8), n)
+            U = Subspace.span(fieldq, np.array(rows + [reps[t]], dtype=np.uint8), n)
             if U not in seen:
                 seen.add(U)
                 found.append(U)
-            return limit is not None and len(found) >= limit
-        for t in range(start, reps.shape[0]):
-            v = reps[t]
-            if not admissible(states, v):
-                continue
-            nxt = [rref(fieldq, np.vstack([R, v[None, :]]))
-                   for R, _ in states]
-            if grow(nxt, t + 1, rows + [v]):
-                return True
+                if limit is not None and len(found) >= limit:
+                    return True
         return False
 
-    grow(pair_states, 0, [])
+    grow(0, [])
     return found
 
 
@@ -290,7 +300,9 @@ def canonical_embedding(ps: PolarSpace, k: int) -> Embedding:
         raise NoValidU(
             f"no {k - ps.rank}-dim subspace avoids all pairwise sums of maximals")
     U = us[0]
-    images = [M + U for M in ps.maximals]
+    bases = stack_bases(ps.field, ps.maximals, ps.ambient_dim)
+    images = span_stack(ps.field, np.concatenate(
+        [bases, np.broadcast_to(U.basis, (len(bases),) + U.basis.shape)], axis=1))
     e = Embedding(ps, k, images, meta={"construction": "M+U", "u_basis": U.to_rows()})
     verify_isometric(e)
     ps._cache[key] = e
@@ -327,13 +339,16 @@ def reduce_to_quotient(e: Embedding, U: Subspace) -> Embedding:
     d = e.target_k - ps.rank
     if U.dim != d:
         raise DimensionMismatch(f"U has dimension {U.dim}, expected k - m = {d}")
-    for i, img in enumerate(e.images):
-        if not img.contains(U):
-            raise StarViolation(f"image {i} does not contain U")
     qs = QuotientSpace(e.target_n, U)
-    images = [qs.project(img) for img in e.images]
-    g = Embedding(ps, ps.rank, images, target_n=qs.dim,
-                  meta={"quotient": qs, "parent": e})
+    bases = stack_bases(e.field, e.images, e.target_n)
+    images = span_stack(e.field, mat_mul(
+        e.field, bases.reshape(-1, e.target_n), qs.coordinate_map.T
+    ).reshape(len(bases), bases.shape[1], qs.dim))
+    # (S + U)/U has dimension dim S - dim U exactly when S contains U
+    for i, (img, S) in enumerate(zip(e.images, images)):
+        if S.dim != img.dim - d:
+            raise StarViolation(f"image {i} does not contain U")
+    g = Embedding(ps, ps.rank, images, target_n=qs.dim, meta={"quotient": qs})
     verify_isometric(g)
     return g
 
@@ -348,21 +363,28 @@ def induce_point_map(g: Embedding) -> tuple[Subspace, ...]:
     raises NotInjective.
     """
     ps = g.source
-    out: list[Subspace] = []
-    for i in range(len(ps.points)):
-        through = ps.maximals_through_point(i)
-        inter = multi_intersection([g.images[t] for t in through])
-        if inter.dim == 0:
+    fieldq, n = g.field, g.target_n
+    anns = stack_bases(fieldq, annihilators(g.images), n)
+    stars = [ps.maximals_through_point(i) for i in range(len(ps.points))]
+    # one row of maximal indices per point, padded with a zero block
+    idx = np.full((len(stars), max(map(len, stars), default=0)), len(anns))
+    for i, star in enumerate(stars):
+        idx[i, :len(star)] = star
+    anns = np.concatenate([anns, np.zeros((1,) + anns.shape[1:], dtype=np.uint8)])
+    K, dims = nullspace_stack(fieldq, anns[idx].reshape(len(idx), -1, n))
+    bad = np.flatnonzero(dims != 1)
+    if bad.size:
+        i, dim = int(bad[0]), int(dims[bad[0]])
+        if dim == 0:
             raise EmptyIntersection(
                 f"images over the star of point {i} intersect only in zero")
-        if inter.dim > 1:
-            raise Anomaly(
-                f"images over the star of point {i} intersect in dimension "
-                f"{inter.dim}", {"point": i, "dim": inter.dim})
-        out.append(inter)
+        raise Anomaly(
+            f"images over the star of point {i} intersect in dimension "
+            f"{dim}", {"point": i, "dim": dim})
+    out = tuple(Subspace(fieldq, n, basis[:1]) for basis in K)
     if len({s._bytes for s in out}) != len(out):
         raise NotInjective("the induced point map collides")
-    return tuple(out)
+    return out
 
 
 def check_line_images(ps: PolarSpace, g: Embedding, q_map) -> dict:
@@ -707,9 +729,8 @@ def _dualized(e: Embedding) -> Embedding:
     # dual's cached analysis
     cached = e.meta.get("dualized")
     if cached is None:
-        images = [img.annihilator() for img in e.images]
-        cached = Embedding(e.source, e.target_n - e.target_k, images,
-                           target_n=e.target_n, meta={"dualized_from": e})
+        cached = Embedding(e.source, e.target_n - e.target_k, annihilators(e.images),
+                           target_n=e.target_n)
         e.meta["dualized"] = cached
     return cached
 

@@ -298,15 +298,26 @@ class PolarSpace:
         return self._incidence("maxthru", self.points)[i]
 
     def line_point_indices(self, l: int) -> tuple[int, ...]:
-        key = ("linepts", l)
-        if key not in self._cache:
-            L = self.lines[l]
-            reps = projective_point_reps(self.field, 2)
-            pts = []
-            for r in mat_mul(self.field, reps, L.basis):
-                pts.append(self._point_index[Subspace.span(self.field, r)])
-            self._cache[key] = tuple(sorted(pts))
-        return self._cache[key]
+        """Indices of the q + 1 points on line l, ascending.  The table of
+        all lines is filled on first use: every point of every line at
+        once, each scaled to lead with 1 and looked up by its bytes."""
+        if "linepts" not in self._cache:
+            field, n = self.field, self.ambient_dim
+            mulT, addT = field.mul_table, field.add_table
+            table: tuple[tuple[int, ...], ...] = ()
+            if self.lines:
+                a, b = projective_point_reps(field, 2).T
+                L = stack_bases(field, self.lines, n)
+                # vecs[l, t] = a[t] L[l, 0] + b[t] L[l, 1]
+                vecs = addT[mulT[a[None, :, None], L[:, None, 0]],
+                            mulT[b[None, :, None], L[:, None, 1]]].reshape(-1, n)
+                lead = vecs[np.arange(len(vecs)), (vecs != 0).argmax(axis=1)]
+                vecs = mulT[field.inv_table[lead][:, None], vecs]
+                index = {P._bytes: i for i, P in enumerate(self.points)}
+                pts = np.array([index[v.tobytes()] for v in vecs]).reshape(len(L), -1)
+                table = tuple(tuple(row) for row in np.sort(pts, axis=1).tolist())
+            self._cache["linepts"] = table
+        return self._cache["linepts"][l]
 
     def maximals_through_line(self, l: int) -> tuple[int, ...]:
         return self._incidence("maxthruline", self.lines)[l]

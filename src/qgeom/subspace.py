@@ -16,8 +16,8 @@ import numpy as np
 from .errors import AmbientMismatch, DimensionMismatch, TooLarge
 from .gf import Field
 
-# Byte budget of one block of the pairwise bitset kernel.  The bitset
-# table is one row of a block, so it must fit the budget on its own.
+# Byte budget of one block of the batched kernels.  The bitset table of the
+# pairwise kernel is one row of a block, so it must fit on its own.
 _PAIR_BLOCK_BYTES = 1 << 22
 
 
@@ -111,63 +111,37 @@ def rref(field: Field, mat) -> tuple[np.ndarray, list[int]]:
 
 
 def rank(field: Field, mat) -> int:
-    """Row rank; forward elimination only, cheaper than full rref."""
+    """Row rank: the packed GF(2) echelon, else the pivot count of rref."""
     A = as_matrix(field, mat)
-    if _packed_gf2(field, A):
-        return len(_echelon_gf2(A))
-    A = A.copy()
-    rows, cols = A.shape
-    mulT, addT = field.mul_table, field.add_table
-    negT, invT = field.neg_table, field.inv_table
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.flatnonzero(A[r:, c])
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            A[[r, i]] = A[[i, r]]
-        pv = int(A[r, c])
-        if pv != 1:
-            A[r] = mulT[invT[pv], A[r]]
-        below = A[r + 1:, c]
-        sel = np.flatnonzero(below)
-        if sel.size:
-            rows_idx = r + 1 + sel
-            factors = negT[below[sel]]
-            A[rows_idx] = addT[A[rows_idx], mulT[factors[:, None], A[r][None, :]]]
-        r += 1
-    return r
+    return len(_echelon_gf2(A) if _packed_gf2(field, A) else rref(field, A)[1])
 
 
-def rank_stack(field: Field, stack) -> np.ndarray:
-    """Row ranks of a (B, r, n) stack of matrices, as a (B,) int64 array.
-
-    The forward elimination of :func:`rank`, run on every matrix of the
-    stack at once: column by column, each matrix takes its own pivot row
-    and clears the rows below it.  Works in blocks along B whose
-    temporaries stay under the pair-kernel byte budget.  Entries are
-    range-checked like :func:`rank`.
+def rref_stack(field: Field, stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`rref` of each member of a (B, r, n) stack: the reduced
+    stack (rows of the RREF, then zero rows), the (B, n) pivot-column mask
+    and the (B,) int64 ranks.  Column by column, each member takes its own
+    pivot row, scales it to 1 and clears the column from every other row,
+    in blocks along B whose temporaries stay under the pair-kernel budget.
     """
-    S = np.asarray(stack, dtype=np.uint8)
-    if S.ndim != 3:
-        raise DimensionMismatch(f"expected a (B, r, n) stack, got ndim={S.ndim}")
-    if S.size and int(S.max()) >= field.q:
-        raise ValueError(f"entry {int(S.max())} out of range for {field}")
-    B, r, n = S.shape
-    out = np.zeros(B, dtype=np.int64)
+    R = np.array(stack, dtype=np.uint8)
+    if R.ndim != 3:
+        raise DimensionMismatch(f"expected a (B, r, n) stack, got ndim={R.ndim}")
+    if R.size and int(R.max()) >= field.q:
+        raise ValueError(f"entry {int(R.max())} out of range for {field}")
+    B, r, n = R.shape
+    pivots = np.zeros((B, n), dtype=bool)
+    ranks = np.zeros(B, dtype=np.int64)
     if r == 0 or n == 0:
-        return out
-    # the block copy plus about three (b, r, n) byte temporaries
-    step = max(1, _PAIR_BLOCK_BYTES // (4 * r * n))
-    mulT, addT = field.mul_table, field.add_table
+        return R, pivots, ranks
+    # the update indexes flat tables with up to four (b, r, n) intp arrays
+    step = max(1, _PAIR_BLOCK_BYTES // (32 * r * n))
+    q = np.intp(field.q)
+    mulT, mulF, addF = field.mul_table, field.mul_table.ravel(), field.add_table.ravel()
     negT, invT = field.neg_table, field.inv_table
     rows = np.arange(r)
     for lo in range(0, B, step):
-        A = S[lo:lo + step].copy()
-        rk = out[lo:lo + step]  # a view: the ranks count up in out
+        # views: the block is reduced in place, the ranks count up in ranks
+        A, rk, pv = R[lo:lo + step], ranks[lo:lo + step], pivots[lo:lo + step]
         for c in range(n):
             cand = (A[:, :, c] != 0) & (rows >= rk[:, None])
             hb = np.flatnonzero(cand.any(axis=1))
@@ -177,31 +151,70 @@ def rank_stack(field: Field, stack) -> np.ndarray:
             p = cand[hb].argmax(axis=1)
             prow = A[hb, p]
             A[hb, p] = A[hb, top]
-            prow = mulT[invT[prow[:, c]][:, None], prow]
+            prow = mulT[invT[prow[:, c]]][np.arange(hb.size)[:, None], prow]
             A[hb, top] = prow
             sub = A[hb]
-            f = negT[sub[:, :, c]]
-            f[rows <= top[:, None]] = 0
-            A[hb] = addT[sub, mulT[f[:, :, None], prow[:, None, :]]]
+            # entry (a, b) of a table sits at a * q + b of the flat table
+            f = negT[sub[:, :, c]] * q
+            f[rows == top[:, None]] = 0
+            A[hb] = addF[sub * q + mulF[f[:, :, None] + prow[:, None, :]]]
             rk[hb] += 1
-    return out
+            pv[hb, c] = True
+    return R, pivots, ranks
+
+
+def rank_stack(field: Field, stack) -> np.ndarray:
+    """Row ranks of a (B, r, n) stack of matrices, as a (B,) int64 array."""
+    return rref_stack(field, stack)[2]
+
+
+def _free_rows(field: Field, R: np.ndarray, pivots: list[int], n: int):
+    """The free columns f of the RREF rows R, ascending, and the kernel
+    basis rows e_f - sum_i R[i, f] e_{p_i} (1 at f, 0 at the other f)."""
+    free = sorted(set(range(n)).difference(pivots))
+    K = np.eye(n, dtype=np.uint8)[free]
+    K[:, pivots] = field.neg_table[R[:, free]].T
+    return free, K
 
 
 def nullspace(field: Field, mat) -> np.ndarray:
-    """Canonical (RREF) basis of ``{x : mat @ x = 0}``, as rows."""
-    A, pivots = rref(field, mat)
-    rows, cols = A.shape
-    free = [c for c in range(cols) if c not in pivots]
-    if not free:
-        return np.zeros((0, cols), dtype=np.uint8)
-    out = np.zeros((len(free), cols), dtype=np.uint8)
-    negT = field.neg_table
-    for t, f in enumerate(free):
-        out[t, f] = 1
-        for i, pcol in enumerate(pivots):
-            out[t, pcol] = negT[A[i, f]]
-    R, _ = rref(field, out)
-    return R
+    """RREF basis of ``{x : mat @ x = 0}``, as rows, by one elimination: the
+    rref of mat with its columns reversed, as in :func:`nullspace_stack`."""
+    A = as_matrix(field, mat)
+    R, piv = rref(field, A[:, ::-1])
+    if len(piv) == A.shape[1]:
+        return np.zeros((0, A.shape[1]), dtype=np.uint8)
+    return np.ascontiguousarray(_free_rows(field, R, piv, A.shape[1])[1][::-1, ::-1])
+
+
+def nullspace_stack(field: Field, stack) -> tuple[np.ndarray, np.ndarray]:
+    """Kernels of a (B, r, n) stack by one :func:`rref_stack`: (K, dims),
+    K[b, :dims[b]] = ``nullspace(field, stack[b])``, zero rows after it.
+
+    The elimination runs on the column-reversed members, and column j of
+    member b gives the row e_j - sum_i R[b, i, j] e_{p_i} (zero for a pivot
+    j), as in :func:`_free_rows`.  Read back in the original order, these
+    rows lead with 1 at distinct columns and vanish on each other's, so
+    sorted they are the kernel's RREF basis.
+    """
+    S = np.asarray(stack, dtype=np.uint8)
+    R, pivots, ranks = rref_stack(field, S[:, :, ::-1] if S.ndim == 3 else S)
+    B, r, n = R.shape
+    V = np.zeros((B, n, n), dtype=np.uint8)
+    b, i = np.nonzero(np.arange(r) < ranks[:, None])
+    if b.size:
+        V[b, :, (R[b, i] != 0).argmax(axis=1)] = field.neg_table[R[b, i]]
+    V[pivots] = 0
+    b, j = np.nonzero(~pivots)
+    V[b, j, j] = 1
+    order = np.argsort(pivots[:, ::-1], axis=1, kind="stable")
+    return np.take_along_axis(V[:, ::-1, ::-1], order[:, :, None], axis=1), n - ranks
+
+
+def span_stack(field: Field, stack) -> list[Subspace]:
+    """The row spaces of a (B, r, n) stack, by one :func:`rref_stack`."""
+    R, _, ranks = rref_stack(field, stack)
+    return [Subspace(field, R.shape[2], m[:d]) for m, d in zip(R, ranks.tolist())]
 
 
 def mat_mul(field: Field, A, B) -> np.ndarray:
@@ -218,7 +231,8 @@ def mat_mul(field: Field, A, B) -> np.ndarray:
     out = np.zeros((A.shape[0], B.shape[1]), dtype=np.uint8)
     mulT, addT = field.mul_table, field.add_table
     for t in range(A.shape[1]):
-        out = addT[out, mulT[A[:, t][:, None], B[t][None, :]]]
+        prod = mulT[A[:, t]][:, B[t]]  # in characteristic 2, XOR adds
+        out = out ^ prod if field.p == 2 else addT[out, prod]
     return out
 
 
@@ -233,23 +247,10 @@ def invert_matrix(field: Field, A) -> np.ndarray:
     n = A.shape[0]
     if A.shape[1] != n:
         raise DimensionMismatch(f"not square: {A.shape}")
-    aug = np.zeros((n, 2 * n), dtype=np.uint8)
-    aug[:, :n] = A
-    aug[np.arange(n), n + np.arange(n)] = 1
-    R, pivots = rref(field, aug)
+    R, pivots = rref(field, np.hstack([A, np.eye(n, dtype=np.uint8)]))
     if pivots[:n] != list(range(n)) or len(pivots) < n:
         raise DimensionMismatch("matrix is singular")
     return R[:, n:].copy()
-
-
-def _reduce_against(field: Field, basis: np.ndarray, pivots: list[int], v) -> np.ndarray:
-    """Residual of v after elimination by an RREF basis."""
-    w = np.array(v, dtype=np.uint8).copy()
-    mulT, addT, negT = field.mul_table, field.add_table, field.neg_table
-    for i, c in enumerate(pivots):
-        if w[c]:
-            w = addT[w, mulT[negT[w[c]], basis[i]]]
-    return w
 
 
 def reduce_rows_against(field: Field, basis: np.ndarray, pivots: list[int],
@@ -334,19 +335,14 @@ class Subspace:
         return self._pivots
 
     def contains_vector(self, v) -> bool:
-        w = _reduce_against(self.field, self.basis, self.pivots, v)
-        return not w.any()
+        w = np.asarray(v, dtype=np.uint8).reshape(1, -1)
+        return not reduce_rows_against(self.field, self.basis, self.pivots, w).any()
 
     def contains(self, other: "Subspace") -> bool:
         """True iff other is a subspace of self."""
         self._check_compatible(other)
-        if other.dim > self.dim:
-            return False
-        piv = self.pivots
-        for row in other.basis:
-            if _reduce_against(self.field, self.basis, piv, row).any():
-                return False
-        return True
+        return other.dim <= self.dim and not reduce_rows_against(
+            self.field, self.basis, self.pivots, other.basis).any()
 
     def all_vectors(self) -> np.ndarray:
         """Every member vector, (q^dim, n); small dimensions only."""
@@ -435,8 +431,20 @@ def multi_intersection(spaces: list[Subspace]) -> Subspace:
         raise DimensionMismatch("need at least one subspace")
     field = spaces[0].field
     n = spaces[0].ambient_dim
-    anns = [s.annihilator().basis for s in spaces]
-    return Subspace(field, n, nullspace(field, np.vstack(anns)))
+    anns = np.vstack([a.basis for a in annihilators(spaces)])
+    return Subspace(field, n, nullspace(field, anns))
+
+
+def annihilators(spaces) -> list[Subspace]:
+    """:meth:`Subspace.annihilator` of many subspaces of one GF(q)^n; the
+    ones not yet cached come from one :func:`nullspace_stack`."""
+    todo = [s for s in spaces if s._ann is None]
+    if todo:
+        field, n = todo[0].field, todo[0].ambient_dim
+        K, dims = nullspace_stack(field, stack_bases(field, todo, n))
+        for s, basis, d in zip(todo, K, dims.tolist()):
+            s._ann = Subspace(field, n, basis[:d])
+    return [s._ann for s in spaces]
 
 
 def pairwise_intersection_dims(spaces: list[Subspace]) -> np.ndarray:
@@ -502,7 +510,8 @@ def stack_bases(field: Field, spaces, ambient_dim: int) -> np.ndarray:
     d = max((s.dim for s in spaces), default=0)
     out = np.zeros((len(spaces), d, ambient_dim), dtype=np.uint8)
     for i, s in enumerate(spaces):
-        field.check_same(s.field)
+        if s.field is not field:
+            field.check_same(s.field)
         if s.ambient_dim != ambient_dim:
             raise AmbientMismatch(f"{s.ambient_dim} vs {ambient_dim}")
         out[i, :s.dim] = s.basis
@@ -555,16 +564,10 @@ class QuotientSpace:
         self.field = field
         self.ambient_dim = ambient_dim
         self.mod_out = mod_out
-        piv = mod_out.pivots
-        transversal = [c for c in range(ambient_dim) if c not in piv]
+        transversal, cmap = _free_rows(field, mod_out.basis, mod_out.pivots,
+                                       ambient_dim)
         self.dim = len(transversal)
         self._transversal = transversal
-        cmap = np.zeros((self.dim, ambient_dim), dtype=np.uint8)
-        negT = field.neg_table
-        for j, c in enumerate(transversal):
-            cmap[j, c] = 1
-            for i, pcol in enumerate(piv):
-                cmap[j, pcol] = negT[mod_out.basis[i, c]]
         cmap.setflags(write=False)
         self.coordinate_map = cmap
 
@@ -591,10 +594,7 @@ class QuotientSpace:
 
     def lift_matrix(self) -> np.ndarray:
         """Rows are the lifts of the W coordinate basis vectors."""
-        out = np.zeros((self.dim, self.ambient_dim), dtype=np.uint8)
-        for j, c in enumerate(self._transversal):
-            out[j, c] = 1
-        return out
+        return np.eye(self.ambient_dim, dtype=np.uint8)[self._transversal]
 
     def __repr__(self) -> str:
         return (f"QuotientSpace(ambient={self.ambient_dim}, "
