@@ -107,6 +107,22 @@ class Embedding:
     def key(self) -> tuple:
         return self._key
 
+    def stacked(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+        """Built once, read-only: the (t, d, n) uint8 stack of the images'
+        RREF bases (zero rows after each), the (t, n, n) uint8 residual
+        maps (x R[i] is what elimination by the basis of image i leaves of
+        x, zero exactly for x in the image) and the image dimensions."""
+        # memoized in meta, like _dualized: a slot would grow every census member
+        if "stack" not in self.meta:
+            B = stack_bases(self.field, self.images, self.target_n)
+            # a zero row takes pivot 0 and eliminates nothing
+            R = reduce_rows_against(self.field, B, (B != 0).argmax(axis=2),
+                                    np.eye(self.target_n, dtype=np.uint8)[None])
+            B.setflags(write=False)
+            R.setflags(write=False)
+            self.meta["stack"] = (B, R, tuple(B.any(axis=2).sum(axis=1).tolist()))
+        return self.meta["stack"]
+
     def table(self) -> list[tuple[int, Subspace, Subspace]]:
         return [
             (i, M, img)
@@ -200,7 +216,7 @@ def verify_isometric(e: Embedding, crosscheck: str | bool = "auto") -> dict:
         idx = np.array([G.index_of(img) for img in e.images], dtype=np.intp)
 
     # k - dim(f(M_i) ∩ f(M_j)) = rank [f(M_i); f(M_j)] - k, all pairs at once
-    bases = stack_bases(e.field, e.images, n)
+    bases = e.stacked()[0]
     I, J = np.triu_indices(len(bases), 1)
     got = rank_stack(e.field, np.concatenate([bases[I], bases[J]], axis=1)) - k
     bad = got != DS[I, J]
@@ -340,10 +356,7 @@ def reduce_to_quotient(e: Embedding, U: Subspace) -> Embedding:
     if U.dim != d:
         raise DimensionMismatch(f"U has dimension {U.dim}, expected k - m = {d}")
     qs = QuotientSpace(e.target_n, U)
-    bases = stack_bases(e.field, e.images, e.target_n)
-    images = span_stack(e.field, mat_mul(
-        e.field, bases.reshape(-1, e.target_n), qs.coordinate_map.T
-    ).reshape(len(bases), bases.shape[1], qs.dim))
+    images = span_stack(e.field, mat_mul(e.field, e.stacked()[0], qs.coordinate_map.T))
     # (S + U)/U has dimension dim S - dim U exactly when S contains U
     for i, (img, S) in enumerate(zip(e.images, images)):
         if S.dim != img.dim - d:
@@ -406,7 +419,7 @@ def check_line_images(ps: PolarSpace, g: Embedding, q_map) -> dict:
     # g(M) contains q(P) + q(Q) iff rank [g(M); q(P); q(Q)] = dim g(M)
     P, Q, T = np.array(triples, dtype=np.intp).reshape(-1, 3).T
     ranks = rank_stack(fieldq, np.concatenate(
-        [stack_bases(fieldq, g.images, n)[T], q_bases[P], q_bases[Q]], axis=1))
+        [g.stacked()[0][T], q_bases[P], q_bases[Q]], axis=1))
     bad = np.flatnonzero(ranks != np.array([S.dim for S in g.images])[T])
     if bad.size:
         a, b, t = triples[bad[0]]
@@ -434,17 +447,19 @@ def check_line_images(ps: PolarSpace, g: Embedding, q_map) -> dict:
     }
 
 
-def polar_span(ps: PolarSpace, check: bool = True) -> Subspace:
-    """Span of all polar points; equals the form's support prefix."""
+def polar_span(ps: PolarSpace) -> Subspace:
+    """Span of all polar points; equals the form's support prefix, else
+    Anomaly.  Cached on the polar space."""
     if not ps.points:
         return Subspace.zero(ps.field, ps.ambient_dim)
-    stacked = np.vstack([p.basis for p in ps.points])
-    span = Subspace.span(ps.field, stacked, ps.ambient_dim)
-    if check and span != ps.v_prime:
-        raise Anomaly(
-            f"points span dimension {span.dim}, configured support has "
-            f"dimension {ps.v_prime.dim}", {"span": span.to_rows()})
-    return span
+    if "polar_span" not in ps._cache:
+        span = Subspace.span(ps.field, np.vstack([p.basis for p in ps.points]))
+        if span != ps.v_prime:
+            raise Anomaly(
+                f"points span dimension {span.dim}, configured support has "
+                f"dimension {ps.v_prime.dim}", {"span": span.to_rows()})
+        ps._cache["polar_span"] = span
+    return ps._cache["polar_span"]
 
 
 @dataclass
@@ -663,13 +678,10 @@ class EquivalenceWitness:
         return cls(field, np.eye(n, dtype=np.uint8))
 
     def apply_to_subspace(self, S: Subspace) -> Subspace:
-        B = S.basis
-        if self.dual:
-            B = nullspace(self.field, B)
+        B = S.annihilator().basis if self.dual else S.basis
         rows = mat_mul(self.field, mat_frobenius(self.field, B, self.frob_power),
                        self.matrix.T)
-        return Subspace.span(self.field, rows, S.ambient_dim) if rows.shape[0] \
-            else Subspace.zero(self.field, S.ambient_dim)
+        return Subspace.span(self.field, rows, S.ambient_dim)
 
     def compose(self, other: "EquivalenceWitness") -> "EquivalenceWitness":
         """self after other: (self.compose(other))(X) = self(other(X))."""
@@ -692,25 +704,22 @@ class EquivalenceWitness:
             mat = invert_matrix(f, mat.T)
         return EquivalenceWitness(f, mat, tp, self.dual)
 
-    def maps_onto(self, S: Subspace, T: Subspace) -> bool:
-        """Does this witness carry S exactly onto T?
+    def verify_on(self, f1: Embedding, f2: Embedding) -> bool:
+        """Does this witness carry f1(M) exactly onto f2(M) for every maximal?
 
-        Images of an invertible (semi)linear map keep their dimension,
-        so containment of the transformed basis rows in T plus equal
-        dimensions settles equality without re-canonicalizing.
-        """
-        B = S.annihilator().basis if self.dual else S.basis
-        if B.shape[0] != T.dim:
+        The whole table at once: one product maps every source basis (for
+        a duality witness, the annihilator's), one more with the target's
+        residual maps (:meth:`Embedding.stacked`) must give zero.  An
+        invertible (semi)linear map keeps dimensions, so containment plus
+        equal dimensions settles equality without re-canonicalizing."""
+        B, _, dims = (_dualized(f1) if self.dual else f1).stacked()
+        _, R, target_dims = f2.stacked()
+        if dims != target_dims:
             return False
         if self.frob_power:
             B = mat_frobenius(self.field, B, self.frob_power)
         rows = mat_mul(self.field, B, self.matrix.T)
-        return not reduce_rows_against(self.field, T.basis, T.pivots, rows).any()
-
-    def verify_on(self, f1: Embedding, f2: Embedding) -> bool:
-        return all(
-            self.maps_onto(a, b) for a, b in zip(f1.images, f2.images)
-        )
+        return not mat_mul(self.field, rows, R).any()
 
     def as_json_obj(self) -> dict:
         return {
@@ -759,26 +768,26 @@ def _fit_semilinear(fa: Embedding, fb: Embedding, budget_state: list[int],
     xs = np.stack([s.basis[0][piv_a] for s in Ra.point_map])
     ys = np.stack([s.basis[0][piv_b] for s in Rb.point_map])
 
-    qs_wa = QuotientSpace(w, Ra.w_prime)
-    qs_wb = QuotientSpace(w, Rb.w_prime)
-    lift_va = Ra.quotient.lift_matrix()
+    lift_wb = QuotientSpace(w, Rb.w_prime).lift_matrix()
     lift_vb = Rb.quotient.lift_matrix()
-    Ua, Ub = Ra.star_subspace, Rb.star_subspace
-    negT = f.neg_table
+    # the point-image span and a transversal, in W and lifted to V
+    D_W = np.vstack([Ba, QuotientSpace(w, Ra.w_prime).lift_matrix()])
+    D_V = np.vstack([Ra.quotient.lift_matrix(), Ra.star_subspace.basis])
+    # unknowns vec(A), then lambda_P; row P*r + i: x_P^(p^tau) at i*r.., -y_P[i] at r*r + P
+    eq = np.arange(npts * r)
+    P, i = np.divmod(eq, r)
+    cols = np.column_stack([i[:, None] * r + np.arange(r), r * r + P])
+    neg_ys = f.neg_table[ys[P, i]]
 
     for tau in range(f.e):
-        xs_t = f.frob_table[tau][xs]
-        # unknowns: vec(A) (r*r) then lambda_P (npts)
         system = np.zeros((npts * r, r * r + npts), dtype=np.uint8)
-        for P in range(npts):
-            for i in range(r):
-                row = system[P * r + i]
-                row[i * r: (i + 1) * r] = xs_t[P]
-                row[r * r + P] = negT[ys[P, i]]
+        system[eq[:, None], cols] = np.column_stack([f.frob_table[tau][xs][P], neg_ys])
         kernel = nullspace(f, system)
         if kernel.shape[0] == 0:
             continue
         K = Subspace(f, kernel.shape[1], kernel)
+        inv_W = invert_matrix(f, mat_frobenius(f, D_W, tau).T)
+        inv_V = invert_matrix(f, mat_frobenius(f, D_V, tau).T)
         for u in K.all_vectors():
             if not u.any():
                 continue
@@ -793,15 +802,11 @@ def _fit_semilinear(fa: Embedding, fb: Embedding, budget_state: list[int],
             if rank(f, A) < r:
                 continue
             # sigma on W: point-image span via A, any transversal beyond
-            D_W = np.vstack([Ba, qs_wa.lift_matrix()])
-            T_W = np.vstack([mat_mul(f, A.T, Bb), qs_wb.lift_matrix()])
-            M_W = mat_mul(f, T_W.T,
-                          invert_matrix(f, mat_frobenius(f, D_W, tau).T))
+            T_W = np.vstack([mat_mul(f, A.T, Bb), lift_wb])
+            M_W = mat_mul(f, T_W.T, inv_W)
             # lift to V through the two quotient transversals
-            D_V = np.vstack([lift_va, Ua.basis])
-            T_V = np.vstack([mat_mul(f, M_W.T, lift_vb), Ub.basis])
-            M_V = mat_mul(f, T_V.T,
-                          invert_matrix(f, mat_frobenius(f, D_V, tau).T))
+            T_V = np.vstack([mat_mul(f, M_W.T, lift_vb), Rb.star_subspace.basis])
+            M_V = mat_mul(f, T_V.T, inv_V)
             witness = EquivalenceWitness(f, M_V, tau, dual=False)
             if witness.verify_on(fa, fb):
                 return witness
@@ -842,39 +847,29 @@ def _construct_witness(fa: Embedding, fb: Embedding,
     3. When n = 2k, fit the dual of one side against the other, giving a
        duality-composed witness.
     """
-    if _class_invariant(fa) != _class_invariant(fb):
-        raise NotEquivalent(
-            f"automorphism invariants differ: {_class_invariant(fa)} vs "
-            f"{_class_invariant(fb)}")
     f = fa.field
     budget_state = [0]
-    try:
-        witness = _fit_semilinear(fa, fb, budget_state, budget)
-        if witness is not None:
-            return witness
-    except _STRUCTURE_FAILURES:
-        pass
-    try:
-        w0 = _fit_semilinear(_dualized(fa), _dualized(fb), budget_state, budget)
-        if w0 is not None:
-            # ann ∘ sigma_M = sigma_{(M^T)^-1} ∘ ann, so undoing the two
-            # annihilators turns the dual-side witness into a direct one
-            witness = EquivalenceWitness(
-                f, invert_matrix(f, w0.matrix.T), w0.frob_power, dual=False)
-            if witness.verify_on(fa, fb):
-                return witness
-    except _STRUCTURE_FAILURES:
-        pass
+    # (the two sides of the fit, the fit turned into a witness fa -> fb);
+    # ann ∘ sigma_M = sigma_{(M^T)^-1} ∘ ann, so undoing the two
+    # annihilators turns a dual-side fit into a direct witness
+    strategies = [
+        (lambda: (fa, fb), lambda w: w),
+        (lambda: (_dualized(fa), _dualized(fb)), lambda w: EquivalenceWitness(
+            f, invert_matrix(f, w.matrix.T), w.frob_power)),
+    ]
     if fa.target_n == 2 * fa.target_k:
+        strategies.append((lambda: (_dualized(fa), fb), lambda w: EquivalenceWitness(
+            f, w.matrix, w.frob_power, dual=True)))
+    for sides, convert in strategies:
         try:
-            w0 = _fit_semilinear(_dualized(fa), fb, budget_state, budget)
+            fit = _fit_semilinear(*sides(), budget_state, budget)
         except _STRUCTURE_FAILURES:
-            w0 = None
-        if w0 is not None:
-            witness = EquivalenceWitness(f, w0.matrix, w0.frob_power,
-                                         dual=True)
-            if witness.verify_on(fa, fb):
-                return witness
+            continue
+        if fit is None:
+            continue
+        witness = convert(fit)
+        if witness.verify_on(fa, fb):
+            return witness
     raise NotEquivalent(
         "no semilinear (or duality-composed) automorphism maps one table "
         "to the other")
@@ -898,12 +893,11 @@ def connecting_automorphism(f1: Embedding, f2: Embedding,
                             full_verify: bool = False) -> EquivalenceWitness:
     """An explicit automorphism s with s(f1(M)) = f2(M) for every maximal.
 
-    Freshly constructed witnesses are always verified on the whole
-    table.  Repeat queries against the same source go through memoized,
-    fully verified witnesses to a common reference embedding and are
-    composed exactly; set ``full_verify=True`` to re-verify such a
-    composite on the whole table as well (it is always spot-checked on
-    one image).
+    Queries against one source go through memoized witnesses to a common
+    reference embedding and are composed exactly.  Every witness
+    returned, fresh or composite, has been verified on the whole table
+    by :meth:`EquivalenceWitness.verify_on`; ``full_verify`` is accepted
+    for compatibility and has no effect.
 
     Raises NotEquivalent when the structure-guided search exhausts all
     candidates, and SearchBudgetExceeded when it runs out of budget
@@ -931,10 +925,8 @@ def connecting_automorphism(f1: Embedding, f2: Embedding,
     w1, w1_inv = _base_witness_pair(ps, base, f1, budget)
     w2, _ = _base_witness_pair(ps, base, f2, budget)
     s = w2.compose(w1_inv)
-    if not s.maps_onto(f1.images[0], f2.images[0]):
-        raise QGeomError("witness composition failed its spot check")
-    if full_verify and not s.verify_on(f1, f2):
-        raise QGeomError("composite witness failed full verification")
+    if not s.verify_on(f1, f2):
+        raise QGeomError("composite witness failed verification on the table")
     return s
 
 

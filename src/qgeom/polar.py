@@ -303,16 +303,13 @@ class PolarSpace:
         once, each scaled to lead with 1 and looked up by its bytes."""
         if "linepts" not in self._cache:
             field, n = self.field, self.ambient_dim
-            mulT, addT = field.mul_table, field.add_table
             table: tuple[tuple[int, ...], ...] = ()
             if self.lines:
-                a, b = projective_point_reps(field, 2).T
                 L = stack_bases(field, self.lines, n)
-                # vecs[l, t] = a[t] L[l, 0] + b[t] L[l, 1]
-                vecs = addT[mulT[a[None, :, None], L[:, None, 0]],
-                            mulT[b[None, :, None], L[:, None, 1]]].reshape(-1, n)
+                # vecs[l, t] = a[t] L[l, 0] + b[t] L[l, 1] over the points (a : b)
+                vecs = mat_mul(field, projective_point_reps(field, 2), L).reshape(-1, n)
                 lead = vecs[np.arange(len(vecs)), (vecs != 0).argmax(axis=1)]
-                vecs = mulT[field.inv_table[lead][:, None], vecs]
+                vecs = field.mul_table[field.inv_table[lead][:, None], vecs]
                 index = {P._bytes: i for i, P in enumerate(self.points)}
                 pts = np.array([index[v.tobytes()] for v in vecs]).reshape(len(L), -1)
                 table = tuple(tuple(row) for row in np.sort(pts, axis=1).tolist())

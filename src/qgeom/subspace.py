@@ -23,15 +23,25 @@ _PAIR_BLOCK_BYTES = 1 << 22
 
 # -- raw matrix machinery -----------------------------------------------------
 
-def as_matrix(field: Field, data) -> np.ndarray:
-    """Coerce to a 2-d uint8 matrix and range-check entries."""
+def as_stack(field: Field, data) -> np.ndarray:
+    """Coerce to a uint8 matrix, or a stack of matrices along leading axes
+    (a vector is one row), and range-check entries."""
     A = np.asarray(data, dtype=np.uint8)
     if A.ndim == 1:
         A = A.reshape(1, -1)
+    if A.ndim < 2:
+        raise DimensionMismatch(f"expected a matrix, got ndim={A.ndim}")
+    # the ufunc reduce skips ndarray.max's wrapper, which dominates on tiny stacks
+    if A.size and np.maximum.reduce(A, axis=None) >= field.q:
+        raise ValueError(f"entry {int(A.max())} out of range for {field}")
+    return A
+
+
+def as_matrix(field: Field, data) -> np.ndarray:
+    """Coerce to a 2-d uint8 matrix and range-check entries."""
+    A = as_stack(field, data)
     if A.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got ndim={A.ndim}")
-    if A.size and int(A.max()) >= field.q:
-        raise ValueError(f"entry {int(A.max())} out of range for {field}")
     return A
 
 
@@ -123,11 +133,9 @@ def rref_stack(field: Field, stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     pivot row, scales it to 1 and clears the column from every other row,
     in blocks along B whose temporaries stay under the pair-kernel budget.
     """
-    R = np.array(stack, dtype=np.uint8)
+    R = as_stack(field, stack).copy()
     if R.ndim != 3:
         raise DimensionMismatch(f"expected a (B, r, n) stack, got ndim={R.ndim}")
-    if R.size and int(R.max()) >= field.q:
-        raise ValueError(f"entry {int(R.max())} out of range for {field}")
     B, r, n = R.shape
     pivots = np.zeros((B, n), dtype=bool)
     ranks = np.zeros(B, dtype=np.int64)
@@ -218,27 +226,33 @@ def span_stack(field: Field, stack) -> list[Subspace]:
 
 
 def mat_mul(field: Field, A, B) -> np.ndarray:
-    """Matrix product over the field."""
-    A = as_matrix(field, A)
-    B = as_matrix(field, B)
-    if A.shape[1] != B.shape[0]:
+    """Matrix product over the field.  Either factor may be a stack of
+    matrices; leading axes broadcast as with numpy's ``@``."""
+    A = as_stack(field, A)
+    B = as_stack(field, B)
+    if A.shape[-1] != B.shape[-2]:
         raise DimensionMismatch(f"cannot multiply {A.shape} by {B.shape}")
     if field.p == 2 and field.e == 1:
         # uint8 wraparound is mod 256, which preserves parity
         return (A @ B) & 1
     if field.e == 1:
         return ((A.astype(np.int32) @ B.astype(np.int32)) % field.p).astype(np.uint8)
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.uint8)
-    mulT, addT = field.mul_table, field.add_table
-    for t in range(A.shape[1]):
-        prod = mulT[A[:, t]][:, B[t]]  # in characteristic 2, XOR adds
-        out = out ^ prod if field.p == 2 else addT[out, prod]
+    out = np.zeros(np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+                   + (A.shape[-2], B.shape[-1]), dtype=np.uint8)
+    mulT, addT, lead = field.mul_table, field.add_table, B.shape[:-2]
+    # one arange per leading axis of B picks each member's own multiples
+    members = tuple(np.arange(s).reshape((-1,) + (1,) * (len(lead) - j))
+                    for j, s in enumerate(lead))
+    for t in range(A.shape[-1]):
+        # the q multiples of row t of B, (q, ..., p), looked up by column t of A
+        prod = mulT[:, B[..., t, :]][(A[..., :, t],) + members]
+        out = out ^ prod if field.p == 2 else addT[out, prod]  # in characteristic 2, XOR adds
     return out
 
 
 def mat_frobenius(field: Field, A, t: int) -> np.ndarray:
-    """Entrywise p^t power."""
-    return field.frob_table[t % field.e][as_matrix(field, A)]
+    """Entrywise p^t power of a matrix or a stack of them."""
+    return field.frob_table[t % field.e][as_stack(field, A)]
 
 
 def invert_matrix(field: Field, A) -> np.ndarray:
@@ -253,18 +267,14 @@ def invert_matrix(field: Field, A) -> np.ndarray:
     return R[:, n:].copy()
 
 
-def reduce_rows_against(field: Field, basis: np.ndarray, pivots: list[int],
+def reduce_rows_against(field: Field, basis: np.ndarray, pivots,
                         rows: np.ndarray) -> np.ndarray:
-    """Residuals of many rows after elimination by an RREF basis."""
-    W = np.asarray(rows, dtype=np.uint8).copy()
-    if field.p == 2 and field.e == 1:
-        for i, c in enumerate(pivots):
-            W ^= W[:, c][:, None] * basis[i][None, :]
-        return W
-    mulT, addT, negT = field.mul_table, field.add_table, field.neg_table
-    for i, c in enumerate(pivots):
-        W = addT[W, mulT[negT[W[:, c]][:, None], basis[i][None, :]]]
-    return W
+    """Residuals W - W[..., pivots] basis of rows W after elimination by an
+    RREF basis: zero exactly for the rows in its span.  A stack of bases,
+    with one pivot list each, reduces a stack of row blocks."""
+    W = np.asarray(rows, dtype=np.uint8)
+    coeffs = np.take_along_axis(W, np.asarray(pivots, dtype=np.intp)[..., None, :], axis=-1)
+    return field.add_table[W, field.neg_table[mat_mul(field, coeffs, basis)]]
 
 
 # -- canonical subspaces ------------------------------------------------------
