@@ -306,6 +306,8 @@ def run(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "k", None) is not None and not 0 <= args.k <= args.n:
+            parser.error(f"--k {args.k} outside 0..{args.n}")
     except UsageError as ex:
         print(f"usage error: {ex}", file=sys.stderr)
         return 64

@@ -25,6 +25,7 @@ exceptions rather than passing silently.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field
 from operator import and_, itemgetter
 
@@ -67,6 +68,7 @@ from .subspace import (
     multi_intersection,
     nullspace,
     nullspace_stack,
+    pair_rank_stack,
     projective_point_reps,
     rank,
     rank_stack,
@@ -218,7 +220,7 @@ def verify_isometric(e: Embedding, crosscheck: str | bool = "auto") -> dict:
     # k - dim(f(M_i) ∩ f(M_j)) = rank [f(M_i); f(M_j)] - k, all pairs at once
     bases = e.stacked()[0]
     I, J = np.triu_indices(len(bases), 1)
-    got = rank_stack(e.field, np.concatenate([bases[I], bases[J]], axis=1)) - k
+    got = pair_rank_stack(e.field, bases, bases, I, J) - k
     bad = got != DS[I, J]
     if do_cross:
         bad |= DT[idx[I], idx[J]] != got
@@ -745,14 +747,14 @@ def _dualized(e: Embedding) -> Embedding:
 
 
 def _fit_semilinear(fa: Embedding, fb: Embedding, budget_state: list[int],
-                    budget: int) -> EquivalenceWitness | None:
-    """Semilinear witness with fa -> fb, or None; structure-guided.
+                    budget: int) -> Iterator[EquivalenceWitness]:
+    """Candidate semilinear witnesses fa -> fb, in order; structure-guided.
 
     The induced point maps pin the witness on the span of the point
     images: solving A x_P^(p^t) = lambda_P y_P exactly (a linear system
     in A and the lambdas) recovers the collineation, and any transversal
-    correspondence completes it off that span.  Every candidate is fully
-    verified on the embedding tables before being returned.
+    correspondence completes it off that span.  The candidates are not
+    verified: the caller checks each on the embedding tables.
     """
     f = fa.field
     Ra = analyze_embedding(fa)
@@ -760,7 +762,7 @@ def _fit_semilinear(fa: Embedding, fb: Embedding, budget_state: list[int],
     w = Ra.quotient.dim
     r = Ra.w_prime.dim
     if r != Rb.w_prime.dim:
-        return None
+        return
     npts = len(Ra.point_map)
     Ba, piv_a = Ra.w_prime.basis, Ra.w_prime.pivots
     Bb, piv_b = Rb.w_prime.basis, Rb.w_prime.pivots
@@ -807,10 +809,7 @@ def _fit_semilinear(fa: Embedding, fb: Embedding, budget_state: list[int],
             # lift to V through the two quotient transversals
             T_V = np.vstack([mat_mul(f, M_W.T, lift_vb), Rb.star_subspace.basis])
             M_V = mat_mul(f, T_V.T, inv_V)
-            witness = EquivalenceWitness(f, M_V, tau, dual=False)
-            if witness.verify_on(fa, fb):
-                return witness
-    return None
+            yield EquivalenceWitness(f, M_V, tau, dual=False)
 
 
 _STRUCTURE_FAILURES = (LemmaViolation, EmptyIntersection, PartialLine,
@@ -862,14 +861,12 @@ def _construct_witness(fa: Embedding, fb: Embedding,
             f, w.matrix, w.frob_power, dual=True)))
     for sides, convert in strategies:
         try:
-            fit = _fit_semilinear(*sides(), budget_state, budget)
+            for fit in _fit_semilinear(*sides(), budget_state, budget):
+                witness = convert(fit)
+                if witness.verify_on(fa, fb):
+                    return witness
         except _STRUCTURE_FAILURES:
             continue
-        if fit is None:
-            continue
-        witness = convert(fit)
-        if witness.verify_on(fa, fb):
-            return witness
     raise NotEquivalent(
         "no semilinear (or duality-composed) automorphism maps one table "
         "to the other")

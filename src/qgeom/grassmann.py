@@ -22,7 +22,13 @@ import numpy as np
 
 from .errors import BadIndex, Disconnected, DimensionMismatch, NotDistanceRegular, TooLarge
 from .gf import Field
-from .subspace import QuotientSpace, Subspace, mat_mul, pairwise_intersection_dims
+from .subspace import (
+    QuotientSpace,
+    Subspace,
+    annihilators,
+    mat_mul,
+    pairwise_intersection_dims,
+)
 
 DEFAULT_ENUM_CAP = 10**6
 # float32 sums of 0/1 products are exact below 2**24, far above this cap
@@ -344,10 +350,9 @@ def duality_map(A: Subspace) -> Subspace:
 def duality_permutation(g: GrassmannGraph, g_dual: GrassmannGraph) -> np.ndarray:
     """Index map of the annihilator from Gamma_k(V) to Gamma_{n-k}(V*).
 
-    Raises KeyError if some annihilator is missing from the target,
-    which cannot happen when g_dual enumerates dimension n - k.
+    Every annihilator comes from one :func:`annihilators` call.  Raises
+    KeyError if some annihilator is missing from the target, which cannot
+    happen when g_dual enumerates dimension n - k.
     """
-    perm = np.zeros(g.n_vertices, dtype=np.int64)
-    for i, v in enumerate(g.vertices):
-        perm[i] = g_dual.index_of(duality_map(v))
-    return perm
+    return np.array([g_dual.index_of(a) for a in annihilators(g.vertices)],
+                    dtype=np.int64)

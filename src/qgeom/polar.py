@@ -12,9 +12,11 @@ it must vanish beyond that prefix.  Three kinds are supported:
   sidesteps the characteristic-2 symmetric/alternating ambiguity.
 
 A polar space collects the singular points, the totally singular lines,
-the rank m, and all maximal totally singular subspaces, found by
-depth-first extension with canonical deduplication.  Degenerate forms
-are rejected, never repaired.
+the rank m, and all maximal totally singular subspaces, grown level by
+level from the points: each level extends every subspace by every point
+orthogonal to it in one stacked elimination, and the reduced bases,
+deduplicated and sorted by their bytes, make the next level.  Degenerate
+forms are rejected, never repaired.
 """
 
 from __future__ import annotations
@@ -36,13 +38,15 @@ from .errors import (
 from .gf import Field
 from .grassmann import FiniteGraph
 from .subspace import (
+    _PAIR_BLOCK_BYTES,
     Subspace,
     as_matrix,
     mat_mul,
     nullspace,
+    pair_rank_stack,
     pairwise_intersection_dims,
     projective_point_reps,
-    rank_stack,
+    rref_stack,
     stack_bases,
 )
 
@@ -280,18 +284,21 @@ class PolarSpace:
     def maximal_index(self, M: Subspace) -> int:
         return self._maximal_index[M]
 
+    def _containment(self, spaces) -> np.ndarray:
+        """The (s, t) table of "spaces[i] lies in maximal j", by one batched
+        elimination: S lies in M iff rank [M; S] = m."""
+        bases = stack_bases(self.field, self.maximals, self.ambient_dim)
+        subs = stack_bases(self.field, spaces, self.ambient_dim)
+        I, T = np.divmod(np.arange(len(subs) * len(bases)), len(bases))
+        ranks = pair_rank_stack(self.field, bases, subs, T, I)
+        return (ranks == self.rank).reshape(len(subs), len(bases))
+
     def _incidence(self, tag: str, spaces) -> tuple[tuple[int, ...], ...]:
         """For each of the given subspaces, the indices of the maximals
-        containing it, all by one batched elimination: S lies in M iff
-        rank [M; S] = m.  Cached under ``tag``."""
+        containing it.  Cached under ``tag``."""
         if tag not in self._cache:
-            bases = stack_bases(self.field, self.maximals, self.ambient_dim)
-            subs = stack_bases(self.field, spaces, self.ambient_dim)
-            t, s = len(bases), len(subs)
-            I, T = np.divmod(np.arange(s * t), t)
-            ranks = rank_stack(self.field, np.concatenate([bases[T], subs[I]], axis=1))
             self._cache[tag] = tuple(tuple(np.flatnonzero(row).tolist())
-                                     for row in (ranks == self.rank).reshape(s, t))
+                                     for row in self._containment(spaces))
         return self._cache[tag]
 
     def maximals_through_point(self, i: int) -> tuple[int, ...]:
@@ -326,8 +333,7 @@ class PolarSpace:
             bases = stack_bases(self.field, self.maximals, self.ambient_dim)
             I, J = np.triu_indices(len(bases), 1)
             D = np.zeros((len(bases),) * 2, dtype=np.int16)
-            D[I, J] = D[J, I] = rank_stack(
-                self.field, np.concatenate([bases[I], bases[J]], axis=1)) - self.rank
+            D[I, J] = D[J, I] = pair_rank_stack(self.field, bases, bases, I, J) - self.rank
             D.setflags(write=False)
             self._cache["dmat"] = D
         return self._cache["dmat"]
@@ -352,10 +358,12 @@ def build_polar_space(field: Field, ambient_dim: int, form: Form,
     """Construct the polar space of a nondegenerate form.
 
     Enumerates singular points, grows totally singular subspaces level
-    by level with canonical deduplication, and reads the rank off the
-    top level.  Raises DegenerateForm for a nonzero radical, RankZero
-    when no point is singular, and NonUniformMaximals if some totally
-    singular subspace cannot be extended to the full rank.
+    by level (one :func:`rref_stack` of [S; P] over the pairs of a subspace
+    S and a point P orthogonal to it, in blocks under the pair budget) with
+    canonical deduplication, and reads the rank off the top level.  Raises
+    DegenerateForm for a nonzero radical, RankZero when no point is
+    singular, and NonUniformMaximals if some totally singular subspace
+    cannot be extended to the full rank.
     """
     if form.form_dim > ambient_dim:
         raise AmbientMismatch(
@@ -389,33 +397,29 @@ def build_polar_space(field: Field, ambient_dim: int, form: Form,
     levels: list[list[Subspace]] = [[Subspace.zero(field, ambient_dim)], points]
     extended_all = True
     while True:
-        current = levels[-1]
-        seen: set = set()
-        nxt: list[Subspace] = []
-        any_unextended = False
-        for S in current:
-            grew = False
-            # candidates: points orthogonal to every basis row of S
-            vals = mat_mul(field, S.basis[:, :npr], profile.T)
-            ok = ~(vals != 0).any(axis=0)
-            for pi in np.flatnonzero(ok):
-                P = points[pi]
-                if S.contains(P):
-                    continue
-                T = S + P
-                if T.key in seen:
-                    grew = True
-                    continue
-                seen.add(T.key)
-                nxt.append(T)
-                grew = True
-            if not grew:
-                any_unextended = True
-        if not nxt:
+        S = stack_bases(field, levels[-1], ambient_dim)
+        s, d, n = S.shape
+        grew = np.zeros(s, dtype=bool)
+        found: set[bytes] = set()
+        # a block's pair stack holds at most one (d + 1, n) matrix per point,
+        # and rref_stack's temporaries take up to 32 bytes per entry of it
+        step = max(1, _PAIR_BLOCK_BYTES // (32 * len(padded) * (d + 1) * n))
+        for lo in range(0, s, step):
+            # the pairs (S, P) with P orthogonal to every basis row of S;
+            # S + P grows exactly when rank [S; P] = d + 1
+            vals = mat_mul(field, S[lo:lo + step, :, :npr], profile.T)
+            I, P = np.nonzero(~vals.any(axis=1))
+            R, _, ranks = rref_stack(field, np.concatenate(
+                [S[lo + I], padded[P][:, None]], axis=1))
+            up = ranks == d + 1
+            grew[lo + I[up]] = True
+            # the reduced rows are the RREF basis of S + P, keyed by its bytes
+            found.update(map(bytes, R[up].reshape(-1, (d + 1) * n)))
+        if not found:
             break
-        if any_unextended:
-            extended_all = False
-        levels.append(sorted(nxt))
+        extended_all &= bool(grew.all())
+        rows = np.frombuffer(b"".join(sorted(found)), dtype=np.uint8)
+        levels.append([Subspace(field, n, b) for b in rows.reshape(-1, d + 1, n)])
 
     m = len(levels) - 1
     if not extended_all:
@@ -447,7 +451,7 @@ def point_star(ps: PolarSpace, S: Subspace) -> list[Subspace]:
     """All maximal totally singular subspaces containing S."""
     if not is_totally_singular(ps.form, S):
         raise NotSingular("the subspace is not totally singular")
-    return [M for M in ps.maximals if M.contains(S)]
+    return [ps.maximals[i] for i in np.flatnonzero(ps._containment([S])[0])]
 
 
 def star_restriction(ps: PolarSpace, S: Subspace) -> FiniteGraph:

@@ -176,6 +176,18 @@ def rank_stack(field: Field, stack) -> np.ndarray:
     return rref_stack(field, stack)[2]
 
 
+def pair_rank_stack(field: Field, A: np.ndarray, B: np.ndarray, I, J) -> np.ndarray:
+    """rank [A[I[p]]; B[J[p]]] for every p, as a (P,) int64 array: the
+    :func:`rank_stack` of the pair stack, concatenated one block at a time,
+    each block the size of one block of :func:`rref_stack`."""
+    out = np.zeros(len(I), dtype=np.int64)
+    step = max(1, _PAIR_BLOCK_BYTES // max(1, 32 * (A.shape[1] + B.shape[1]) * A.shape[2]))
+    for lo in range(0, len(I), step):
+        out[lo:lo + step] = rank_stack(field, np.concatenate(
+            [A[I[lo:lo + step]], B[J[lo:lo + step]]], axis=1))
+    return out
+
+
 def _free_rows(field: Field, R: np.ndarray, pivots: list[int], n: int):
     """The free columns f of the RREF rows R, ascending, and the kernel
     basis rows e_f - sum_i R[i, f] e_{p_i} (1 at f, 0 at the other f)."""

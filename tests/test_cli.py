@@ -86,6 +86,23 @@ def test_violation_exit_2():
                 "--n", "4", "--k", "3"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["embed", "search", "--polar", cfg("w32.json"), "--n", "4", "--k", "5"],
+    ["embed", "canonical", "--polar", cfg("w32.json"), "--n", "4", "--k", "5"],
+    ["embed", "classify", "--polar", cfg("w32.json"), "--n", "4", "--k", "-1"],
+    ["grassmann", "--field", cfg("gf2.json"), "--n", "3", "--k", "5"],
+    ["grassmann", "--field", cfg("gf2.json"), "--n", "3", "--k", "-1"],
+])
+def test_k_out_of_range_is_usage_error(argv, capsys):
+    assert run(argv) == 64
+    assert "usage error: --k" in capsys.readouterr().err
+
+
+def test_k_at_the_range_ends_is_accepted():
+    assert run(["grassmann", "--field", cfg("gf2.json"), "--n", "3", "--k", "0"]) == 0
+    assert run(["grassmann", "--field", cfg("gf2.json"), "--n", "3", "--k", "3"]) == 0
+
+
 def test_success_exit_0(tmp_path):
     out = tmp_path / "f.json"
     assert run(["field", "--field", cfg("gf4.json"), "--out", str(out)]) == 0
