@@ -308,6 +308,8 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "k", None) is not None and not 0 <= args.k <= args.n:
             parser.error(f"--k {args.k} outside 0..{args.n}")
+        if getattr(args, "budget", 0) < 0:
+            parser.error(f"--budget {args.budget} is negative")
     except UsageError as ex:
         print(f"usage error: {ex}", file=sys.stderr)
         return 64
@@ -317,7 +319,9 @@ def run(argv: list[str]) -> int:
         try:
             cap = int(os.environ["QGEOM_CAP"])
         except ValueError:
-            print("config error: QGEOM_CAP must be an integer", file=sys.stderr)
+            cap = 0
+        if cap < 1:
+            print("config error: QGEOM_CAP must be a positive integer", file=sys.stderr)
             return 65
 
     try:
@@ -334,6 +338,10 @@ def run(argv: list[str]) -> int:
     except ConfigError as ex:
         print(f"config error: {ex}", file=sys.stderr)
         return 65
+    except OSError as ex:
+        # every input is read under _config_phase, so this is an output
+        print(f"usage error: cannot write {ex.filename}: {ex.strerror}", file=sys.stderr)
+        return 64
     except SearchBudgetExceeded as ex:
         print(f"budget exceeded: {ex}", file=sys.stderr)
         return 3

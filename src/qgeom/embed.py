@@ -28,6 +28,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field
 from operator import and_, itemgetter
+from types import MappingProxyType
 
 import numpy as np
 
@@ -55,7 +56,7 @@ from .grassmann import (
     gaussian_binomial,
     grassmann_graph_cached,
 )
-from .polar import PolarSpace, dual_polar_graph
+from .polar import PolarSpace
 from .subspace import (
     _PAIR_BLOCK_BYTES,
     QuotientSpace,
@@ -72,12 +73,14 @@ from .subspace import (
     projective_point_reps,
     rank,
     rank_stack,
+    rref_stack,
     span_stack,
     stack_bases,
 )
 
 BFS_CROSSCHECK_CAP = 400
 DEFAULT_WITNESS_BUDGET = 10_000
+_NO_META = MappingProxyType({})
 
 
 class Embedding:
@@ -85,11 +88,13 @@ class Embedding:
 
     ``source`` is the polar space, ``images`` aligns with
     ``source.maximals``, and the target is the Grassmannian of
-    ``target_k``-dim subspaces of GF(q)^``target_n``.
+    ``target_k``-dim subspaces of GF(q)^``target_n``.  ``meta`` holds
+    caller data only (none: one shared read-only empty map); memos are slots.
     """
 
     __slots__ = ("source", "field", "target_n", "target_k", "images", "meta",
-                 "_key", "_analysis", "_verified", "_invariant")
+                 "_key", "_analysis", "_verified", "_invariant", "_stack",
+                 "_dual", "_base_witness")
 
     def __init__(self, source: PolarSpace, target_k: int, images,
                  target_n: int | None = None, meta: dict | None = None):
@@ -99,11 +104,10 @@ class Embedding:
         self.target_n = int(target_n if target_n is not None
                             else source.ambient_dim)
         self.images = tuple(images)
-        self.meta = dict(meta or {})
+        self.meta = dict(meta) if meta else _NO_META
         self._key = tuple(s._bytes for s in self.images)
-        self._analysis = None
         self._verified = False
-        self._invariant = None
+        self._analysis = self._invariant = self._stack = self._dual = self._base_witness = None
 
     @property
     def key(self) -> tuple:
@@ -114,16 +118,15 @@ class Embedding:
         RREF bases (zero rows after each), the (t, n, n) uint8 residual
         maps (x R[i] is what elimination by the basis of image i leaves of
         x, zero exactly for x in the image) and the image dimensions."""
-        # memoized in meta, like _dualized: a slot would grow every census member
-        if "stack" not in self.meta:
+        if self._stack is None:
             B = stack_bases(self.field, self.images, self.target_n)
             # a zero row takes pivot 0 and eliminates nothing
             R = reduce_rows_against(self.field, B, (B != 0).argmax(axis=2),
                                     np.eye(self.target_n, dtype=np.uint8)[None])
             B.setflags(write=False)
             R.setflags(write=False)
-            self.meta["stack"] = (B, R, tuple(B.any(axis=2).sum(axis=1).tolist()))
-        return self.meta["stack"]
+            self._stack = (B, R, tuple(B.any(axis=2).sum(axis=1).tolist()))
+        return self._stack
 
     def table(self) -> list[tuple[int, Subspace, Subspace]]:
         return [
@@ -169,20 +172,6 @@ def embedding_from_json_obj(ps: PolarSpace, target_k: int, obj,
 
 # -- verification ------------------------------------------------------------------
 
-def _source_distances_certified(ps: PolarSpace) -> np.ndarray:
-    """The m - dim(. ∩ .) table, BFS-certified against the dual polar graph."""
-    DS = ps.source_distance_matrix()
-    if not ps._cache.get("dmat_bfs_ok"):
-        D_bfs = dual_polar_graph(ps).distance_matrix
-        if not np.array_equal(DS, D_bfs):
-            bad = np.argwhere(DS != D_bfs)[0]
-            raise QGeomError(
-                f"dual polar BFS distance disagrees with m - dim intersection "
-                f"at pair {tuple(int(x) for x in bad)}")
-        ps._cache["dmat_bfs_ok"] = True
-    return DS
-
-
 def verify_isometric(e: Embedding, crosscheck: str | bool = "auto") -> dict:
     """Check that the embedding preserves every pairwise distance.
 
@@ -207,7 +196,7 @@ def verify_isometric(e: Embedding, crosscheck: str | bool = "auto") -> dict:
     if len(set(e._key)) != len(e._key):
         raise NotInjective("two maximals share an image")
 
-    DS = _source_distances_certified(ps)
+    DS = ps.certified_distances
     do_cross = crosscheck is True or (
         crosscheck == "auto"
         and gaussian_binomial(n, k, e.field.q) <= BFS_CROSSCHECK_CAP
@@ -246,7 +235,8 @@ def find_star_subspaces(ps: PolarSpace, k: int, limit: int | None = 1
 
     Candidate vectors are tried in ascending lexicographic order with
     backtracking, so the first result is deterministic.  ``limit=None``
-    enumerates the whole search space (the test-suite oracle).
+    enumerates the whole search space (the test-suite oracle).  The search
+    runs on the distinct pair sums, each reduced once.
     """
     m = ps.rank
     n = ps.ambient_dim
@@ -256,10 +246,17 @@ def find_star_subspaces(ps: PolarSpace, k: int, limit: int | None = 1
     if d == 0:
         return [Subspace.zero(ps.field, n)]
     fieldq = ps.field
-    bases = stack_bases(fieldq, ps.maximals, n)
+    bases = ps.maximal_bases
     I, J = np.triu_indices(len(bases))
-    # M_i + M_j for every pair i <= j, grown below by the chosen rows
-    pairs = np.concatenate([bases[I], bases[J]], axis=1)
+    # the distinct sums M_i + M_j over i <= j, keyed by their reduced rows
+    # (RREF, then zero rows); grown below by the chosen rows
+    sums: set[bytes] = set()
+    step = max(1, _PAIR_BLOCK_BYTES // (32 * 2 * m * n))
+    for lo in range(0, len(I), step):
+        R = rref_stack(fieldq, np.concatenate(
+            [bases[I[lo:lo + step]], bases[J[lo:lo + step]]], axis=1))[0]
+        sums.update(map(bytes, R.reshape(len(R), -1)))
+    pairs = np.frombuffer(b"".join(sorted(sums)), dtype=np.uint8).reshape(-1, 2 * m, n)
     reps = projective_point_reps(fieldq, n)
     found: list[Subspace] = []
     seen: set = set()
@@ -310,20 +307,19 @@ def canonical_embedding(ps: PolarSpace, k: int) -> Embedding:
     U-search comes up empty (reported, never silently approximated).
     The returned embedding has passed verify_isometric.
     """
-    key = ("canonical", k)
-    if key in ps._cache:
-        return ps._cache[key]
+    if k in ps.canonical_embeddings:
+        return ps.canonical_embeddings[k]
     us = find_star_subspaces(ps, k, limit=1)
     if not us:
         raise NoValidU(
             f"no {k - ps.rank}-dim subspace avoids all pairwise sums of maximals")
     U = us[0]
-    bases = stack_bases(ps.field, ps.maximals, ps.ambient_dim)
+    bases = ps.maximal_bases
     images = span_stack(ps.field, np.concatenate(
         [bases, np.broadcast_to(U.basis, (len(bases),) + U.basis.shape)], axis=1))
     e = Embedding(ps, k, images, meta={"construction": "M+U", "u_basis": U.to_rows()})
     verify_isometric(e)
-    ps._cache[key] = e
+    ps.canonical_embeddings[k] = e
     return e
 
 
@@ -380,12 +376,9 @@ def induce_point_map(g: Embedding) -> tuple[Subspace, ...]:
     ps = g.source
     fieldq, n = g.field, g.target_n
     anns = stack_bases(fieldq, annihilators(g.images), n)
-    stars = [ps.maximals_through_point(i) for i in range(len(ps.points))]
-    # one row of maximal indices per point, padded with a zero block
-    idx = np.full((len(stars), max(map(len, stars), default=0)), len(anns))
-    for i, star in enumerate(stars):
-        idx[i, :len(star)] = star
+    # the star table pads with index t: one zero block past the stack
     anns = np.concatenate([anns, np.zeros((1,) + anns.shape[1:], dtype=np.uint8)])
+    idx = ps.point_stars
     K, dims = nullspace_stack(fieldq, anns[idx].reshape(len(idx), -1, n))
     bad = np.flatnonzero(dims != 1)
     if bad.size:
@@ -413,18 +406,14 @@ def check_line_images(ps: PolarSpace, g: Embedding, q_map) -> dict:
     """
     fieldq, n = ps.field, g.target_n
     q_bases = stack_bases(fieldq, q_map, n)
-    lines = np.array([ps.line_point_indices(l) for l in range(len(ps.lines))],
-                     dtype=np.intp).reshape(len(ps.lines), fieldq.q + 1)
-    triples = [(P, Q, t) for l, pts in enumerate(lines.tolist())
-               for a, P in enumerate(pts) for Q in pts[a + 1:]
-               for t in ps.maximals_through_line(l)]
+    lines, pairs = ps.line_points, ps.collinear_pairs
+    C, T = ps.collinear_triples.T
     # g(M) contains q(P) + q(Q) iff rank [g(M); q(P); q(Q)] = dim g(M)
-    P, Q, T = np.array(triples, dtype=np.intp).reshape(-1, 3).T
-    ranks = rank_stack(fieldq, np.concatenate(
-        [g.stacked()[0][T], q_bases[P], q_bases[Q]], axis=1))
-    bad = np.flatnonzero(ranks != np.array([S.dim for S in g.images])[T])
+    PQ = q_bases[pairs].reshape(len(pairs), 2 * q_bases.shape[1], n)
+    B, _, dims = g.stacked()
+    bad = np.flatnonzero(pair_rank_stack(fieldq, B, PQ, T, C) != np.array(dims)[T])
     if bad.size:
-        a, b, t = triples[bad[0]]
+        (a, b), t = pairs[C[bad[0]]].tolist(), int(T[bad[0]])
         raise ContainmentViolation(
             f"image of maximal {t} misses q(P) + q(Q) for points ({a}, {b})",
             (a, b, t))
@@ -444,24 +433,14 @@ def check_line_images(ps: PolarSpace, g: Embedding, q_map) -> dict:
     return {
         "lines_checked": len(ps.lines),
         "full_lines": len(lines),
-        "containments_checked": len(triples),
+        "containments_checked": len(T),
         "lines_ok": True,
     }
 
 
 def polar_span(ps: PolarSpace) -> Subspace:
-    """Span of all polar points; equals the form's support prefix, else
-    Anomaly.  Cached on the polar space."""
-    if not ps.points:
-        return Subspace.zero(ps.field, ps.ambient_dim)
-    if "polar_span" not in ps._cache:
-        span = Subspace.span(ps.field, np.vstack([p.basis for p in ps.points]))
-        if span != ps.v_prime:
-            raise Anomaly(
-                f"points span dimension {span.dim}, configured support has "
-                f"dimension {ps.v_prime.dim}", {"span": span.to_rows()})
-        ps._cache["polar_span"] = span
-    return ps._cache["polar_span"]
+    """Span of all polar points, :attr:`PolarSpace.point_span`."""
+    return ps.point_span
 
 
 @dataclass
@@ -624,32 +603,25 @@ def search_embeddings(ps: PolarSpace, n: int, k: int, anchor: bool = True,
 
     target = grassmann_graph_cached(ps.field, n, k)
     DT = target.distance_matrix
-    DS = _source_distances_certified(ps)
+    DS = ps.certified_distances
 
-    anchored = False
     anchor_index = None
     prefix: list[int] = []
     if anchor:
         try:
-            f0 = canonical_embedding(ps, k)
-            anchor_index = target.index_of(f0.images[0])
+            anchor_index = target.index_of(canonical_embedding(ps, k).images[0])
             prefix = [anchor_index]
-            anchored = True
         except NoValidU:
             # no canonical anchor exists; fall back to the full census,
             # which will simply come back empty if no embedding exists
-            anchored = False
+            pass
 
     tuples: list[tuple[int, ...]] = []
     nodes = _bitset_dfs(_distance_masks(DT, int(DS.max())), DS.tolist(),
                         prefix, tuples)
 
-    embeddings = [
-        Embedding(ps, k, [target.vertices[v] for v in tup],
-                  meta={"anchored": anchored, "anchor_index": anchor_index})
-        for tup in tuples
-    ]
-    return SearchResult(embeddings, anchored, anchor_index, nodes, tuples)
+    embeddings = [Embedding(ps, k, [target.vertices[v] for v in tup]) for tup in tuples]
+    return SearchResult(embeddings, bool(prefix), anchor_index, nodes, tuples)
 
 
 # -- equivalence witnesses -------------------------------------------------------------
@@ -738,12 +710,10 @@ class EquivalenceWitness:
 def _dualized(e: Embedding) -> Embedding:
     # memoized: repeat witness fits against one embedding reuse its
     # dual's cached analysis
-    cached = e.meta.get("dualized")
-    if cached is None:
-        cached = Embedding(e.source, e.target_n - e.target_k, annihilators(e.images),
-                           target_n=e.target_n)
-        e.meta["dualized"] = cached
-    return cached
+    if e._dual is None:
+        e._dual = Embedding(e.source, e.target_n - e.target_k,
+                            annihilators(e.images), target_n=e.target_n)
+    return e._dual
 
 
 def _fit_semilinear(fa: Embedding, fb: Embedding, budget_state: list[int],
@@ -872,17 +842,15 @@ def _construct_witness(fa: Embedding, fb: Embedding,
         "to the other")
 
 
-def _base_witness_pair(ps: PolarSpace, base: Embedding, e: Embedding,
-                       budget: int):
-    """(witness base->e, its inverse), memoized on the polar space."""
-    key = ("witness", e.target_n, e.target_k, base._key, e._key)
-    if key not in ps._cache:
+def _base_witness_pair(base: Embedding, e: Embedding, budget: int):
+    """(witness base->e, its inverse), memoized on e as (base key, w, w^-1)."""
+    if e._base_witness is None or e._base_witness[0] != base._key:
         if e._key == base._key:
-            w = EquivalenceWitness.identity(ps.field, e.target_n)
+            w = EquivalenceWitness.identity(e.field, e.target_n)
         else:
             w = _construct_witness(base, e, budget)
-        ps._cache[key] = (w, w.inverse())
-    return ps._cache[key]
+        e._base_witness = (base._key, w, w.inverse())
+    return e._base_witness[1:]
 
 
 def connecting_automorphism(f1: Embedding, f2: Embedding,
@@ -919,8 +887,8 @@ def connecting_automorphism(f1: Embedding, f2: Embedding,
                 base = cand
         except NoValidU:
             pass
-    w1, w1_inv = _base_witness_pair(ps, base, f1, budget)
-    w2, _ = _base_witness_pair(ps, base, f2, budget)
+    w1, w1_inv = _base_witness_pair(base, f1, budget)
+    w2, _ = _base_witness_pair(base, f2, budget)
     s = w2.compose(w1_inv)
     if not s.verify_on(f1, f2):
         raise QGeomError("composite witness failed verification on the table")

@@ -21,10 +21,13 @@ forms are rejected, never repaired.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import (
     AmbientMismatch,
+    Anomaly,
     DegenerateForm,
     Disconnected,
     KindMismatch,
@@ -51,6 +54,11 @@ from .subspace import (
 )
 
 FORM_KINDS = ("alternating", "quadratic", "hermitian")
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 class Form:
@@ -256,7 +264,10 @@ class PolarSpace:
 
     All member subspaces live in the full ambient dimension (padded with
     zero coordinates beyond the form's support), so they drop straight
-    into Grassmann-graph machinery over the same ambient space.
+    into Grassmann-graph machinery over the same ambient space.  Every
+    derived table is a cached attribute, built on first use; its arrays
+    are read-only.  Star tables list maximal indices ascending, padded
+    with t = len(maximals), which indexes one row past the maximal stack.
     """
 
     def __init__(self, field: Field, ambient_dim: int, form: Form,
@@ -272,9 +283,8 @@ class PolarSpace:
         vp[np.arange(form.form_dim), np.arange(form.form_dim)] = 1
         self.v_prime = Subspace(field, ambient_dim, vp)
         self._point_index = {p: i for i, p in enumerate(self.points)}
-        self._line_index = {l: i for i, l in enumerate(self.lines)}
         self._maximal_index = {m: i for i, m in enumerate(self.maximals)}
-        self._cache: dict = {}
+        self.canonical_embeddings: dict = {}  # k -> M + U, by qgeom.embed
 
     # -- incidence ------------------------------------------------------------
 
@@ -284,59 +294,105 @@ class PolarSpace:
     def maximal_index(self, M: Subspace) -> int:
         return self._maximal_index[M]
 
-    def _containment(self, spaces) -> np.ndarray:
-        """The (s, t) table of "spaces[i] lies in maximal j", by one batched
-        elimination: S lies in M iff rank [M; S] = m."""
-        bases = stack_bases(self.field, self.maximals, self.ambient_dim)
-        subs = stack_bases(self.field, spaces, self.ambient_dim)
-        I, T = np.divmod(np.arange(len(subs) * len(bases)), len(bases))
-        ranks = pair_rank_stack(self.field, bases, subs, T, I)
-        return (ranks == self.rank).reshape(len(subs), len(bases))
+    @cached_property
+    def maximal_bases(self) -> np.ndarray:
+        """The (t, m, n) uint8 stack of the maximals' RREF bases."""
+        return _read_only(stack_bases(self.field, self.maximals, self.ambient_dim))
 
-    def _incidence(self, tag: str, spaces) -> tuple[tuple[int, ...], ...]:
-        """For each of the given subspaces, the indices of the maximals
-        containing it.  Cached under ``tag``."""
-        if tag not in self._cache:
-            self._cache[tag] = tuple(tuple(np.flatnonzero(row).tolist())
-                                     for row in self._containment(spaces))
-        return self._cache[tag]
+    def _stars(self, spaces) -> np.ndarray:
+        """The star table of the given subspaces: S lies in M iff rank [M; S] = m."""
+        t = len(self.maximals)
+        subs = stack_bases(self.field, spaces, self.ambient_dim)
+        I, T = np.divmod(np.arange(len(subs) * t), t)
+        ranks = pair_rank_stack(self.field, self.maximal_bases, subs, T, I)
+        inside = (ranks == self.rank).reshape(-1, t)
+        table = np.sort(np.where(inside, np.arange(t), t), axis=1)
+        return _read_only(table[:, :inside.sum(axis=1).max(initial=0)])
+
+    point_stars = cached_property(lambda self: self._stars(self.points))
+    line_stars = cached_property(lambda self: self._stars(self.lines))
+
+    @cached_property
+    def line_points(self) -> np.ndarray:
+        """The (lines, q + 1) table of the points on each line, ascending."""
+        field, n = self.field, self.ambient_dim
+        L = stack_bases(field, self.lines, n).reshape(-1, 2, n)
+        # vecs[l, t] = a[t] L[l, 0] + b[t] L[l, 1] over the points (a : b),
+        # each scaled to lead with 1 and looked up by its bytes
+        vecs = mat_mul(field, projective_point_reps(field, 2), L).reshape(-1, n)
+        lead = vecs[np.arange(len(vecs)), (vecs != 0).argmax(axis=1)]
+        vecs = field.mul_table[field.inv_table[lead][:, None], vecs]
+        index = {P._bytes: i for i, P in enumerate(self.points)}
+        pts = np.array([index[v.tobytes()] for v in vecs], dtype=np.intp)
+        return _read_only(np.sort(pts.reshape(len(L), field.q + 1), axis=1))
+
+    @cached_property
+    def collinear_pairs(self) -> np.ndarray:
+        """The (c, 2) table of the points P < Q on a common line, by line."""
+        a, b = np.triu_indices(self.field.q + 1, 1)
+        pts = self.line_points
+        return _read_only(np.stack([pts[:, a], pts[:, b]], axis=2).reshape(-1, 2))
+
+    @cached_property
+    def collinear_triples(self) -> np.ndarray:
+        """The (N, 2) table of the triples (P, Q, M), M through the line of
+        P and Q: row (c, t) stands for (*collinear_pairs[c], t)."""
+        stars = np.repeat(self.line_stars, self.field.q * (self.field.q + 1) // 2, axis=0)
+        c, s = np.nonzero(stars < len(self.maximals))
+        return _read_only(np.column_stack([c, stars[c, s]]))
 
     def maximals_through_point(self, i: int) -> tuple[int, ...]:
-        return self._incidence("maxthru", self.points)[i]
+        return tuple(x for x in self.point_stars[i].tolist() if x < len(self.maximals))
 
     def line_point_indices(self, l: int) -> tuple[int, ...]:
-        """Indices of the q + 1 points on line l, ascending.  The table of
-        all lines is filled on first use: every point of every line at
-        once, each scaled to lead with 1 and looked up by its bytes."""
-        if "linepts" not in self._cache:
-            field, n = self.field, self.ambient_dim
-            table: tuple[tuple[int, ...], ...] = ()
-            if self.lines:
-                L = stack_bases(field, self.lines, n)
-                # vecs[l, t] = a[t] L[l, 0] + b[t] L[l, 1] over the points (a : b)
-                vecs = mat_mul(field, projective_point_reps(field, 2), L).reshape(-1, n)
-                lead = vecs[np.arange(len(vecs)), (vecs != 0).argmax(axis=1)]
-                vecs = field.mul_table[field.inv_table[lead][:, None], vecs]
-                index = {P._bytes: i for i, P in enumerate(self.points)}
-                pts = np.array([index[v.tobytes()] for v in vecs]).reshape(len(L), -1)
-                table = tuple(tuple(row) for row in np.sort(pts, axis=1).tolist())
-            self._cache["linepts"] = table
-        return self._cache["linepts"][l]
+        return tuple(self.line_points[l].tolist())
 
     def maximals_through_line(self, l: int) -> tuple[int, ...]:
-        return self._incidence("maxthruline", self.lines)[l]
+        return tuple(x for x in self.line_stars[l].tolist() if x < len(self.maximals))
+
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """Pairwise m - dim(M_i ∩ M_j) = rank [M_i; M_j] - m, int16."""
+        bases = self.maximal_bases
+        I, J = np.triu_indices(len(bases), 1)
+        D = np.zeros((len(bases),) * 2, dtype=np.int16)
+        D[I, J] = D[J, I] = pair_rank_stack(self.field, bases, bases, I, J) - self.rank
+        return _read_only(D)
 
     def source_distance_matrix(self) -> np.ndarray:
-        """Pairwise m - dim(M_i ∩ M_j) = rank [M_i; M_j] - m over the
-        maximals, by one batched elimination."""
-        if "dmat" not in self._cache:
-            bases = stack_bases(self.field, self.maximals, self.ambient_dim)
-            I, J = np.triu_indices(len(bases), 1)
-            D = np.zeros((len(bases),) * 2, dtype=np.int16)
-            D[I, J] = D[J, I] = pair_rank_stack(self.field, bases, bases, I, J) - self.rank
-            D.setflags(write=False)
-            self._cache["dmat"] = D
-        return self._cache["dmat"]
+        return self.distances
+
+    @cached_property
+    def certified_distances(self) -> np.ndarray:
+        """:attr:`distances`, certified once against BFS on the dual polar graph."""
+        D, D_bfs = self.distances, self.dual_graph.distance_matrix
+        if not np.array_equal(D, D_bfs):
+            bad = np.argwhere(D != D_bfs)[0]
+            raise QGeomError(
+                f"dual polar BFS distance disagrees with m - dim intersection "
+                f"at pair {tuple(int(x) for x in bad)}")
+        return D
+
+    @cached_property
+    def dual_graph(self) -> FiniteGraph:
+        """Adjacency is meeting in dimension rank - 1, from the member bitsets."""
+        near = pairwise_intersection_dims(self.maximals) == self.rank - 1
+        g = FiniteGraph(self.maximals, [np.flatnonzero(row) for row in near])
+        if not g.is_connected():
+            raise Disconnected("dual polar graph came out disconnected")
+        return g
+
+    @cached_property
+    def point_span(self) -> Subspace:
+        """Span of the points; it must be the form's support prefix."""
+        if not self.points:
+            return Subspace.zero(self.field, self.ambient_dim)
+        span = Subspace.span(self.field, np.vstack([p.basis for p in self.points]))
+        if span != self.v_prime:
+            raise Anomaly(
+                f"points span dimension {span.dim}, configured support has "
+                f"dimension {self.v_prime.dim}", {"span": span.to_rows()})
+        return span
 
     def summary(self) -> dict:
         return {
@@ -434,28 +490,17 @@ def build_polar_space(field: Field, ambient_dim: int, form: Form,
 
 
 def dual_polar_graph(ps: PolarSpace) -> FiniteGraph:
-    """Graph on the maximal totally singular subspaces; adjacency is
-    meeting in dimension rank - 1, read off the member-bitset kernel.
-    Cached on the polar space."""
-    if "dual_graph" in ps._cache:
-        return ps._cache["dual_graph"]
-    near = pairwise_intersection_dims(ps.maximals) == ps.rank - 1
-    g = FiniteGraph(ps.maximals, [np.flatnonzero(row) for row in near])
-    if not g.is_connected():
-        raise Disconnected("dual polar graph came out disconnected")
-    ps._cache["dual_graph"] = g
-    return g
+    """The graph on the maximals, :attr:`PolarSpace.dual_graph`."""
+    return ps.dual_graph
 
 
 def point_star(ps: PolarSpace, S: Subspace) -> list[Subspace]:
     """All maximal totally singular subspaces containing S."""
     if not is_totally_singular(ps.form, S):
         raise NotSingular("the subspace is not totally singular")
-    return [ps.maximals[i] for i in np.flatnonzero(ps._containment([S])[0])]
+    return [ps.maximals[i] for i in ps._stars([S])[0]]
 
 
 def star_restriction(ps: PolarSpace, S: Subspace) -> FiniteGraph:
     """The dual polar graph restricted to the maximals containing S."""
-    g = dual_polar_graph(ps)
-    idx = [ps.maximal_index(M) for M in point_star(ps, S)]
-    return g.subgraph(idx)
+    return ps.dual_graph.subgraph([ps.maximal_index(M) for M in point_star(ps, S)])

@@ -117,6 +117,29 @@ def test_qgeom_cap_env(tmp_path, monkeypatch):
     assert run(["grassmann", "--field", cfg("gf2.json"), "--n", "4", "--k", "2"]) == 65
 
 
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_qgeom_cap_below_one_is_config_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("QGEOM_CAP", value)
+    assert run(["grassmann", "--field", cfg("gf2.json"), "--n", "4", "--k", "2"]) == 65
+    assert "config error: QGEOM_CAP" in capsys.readouterr().err
+
+
+def test_negative_budget_is_usage_error(capsys):
+    assert run(["embed", "classify", "--polar", cfg("w32.json"), "--n", "4",
+                "--k", "2", "--budget", "-5"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: --budget -5 is negative\n"
+
+
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert run(["polar", "--polar", cfg("w32.json"), "--n", "4", "--out", str(out)]) == 64
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"usage error: cannot write {out}")
+
+
 # ---------------------------------------------------------------------------
 # grassmann command
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import pytest
 from qgeom import subspace
 from qgeom.embed import (
     Embedding,
+    _base_witness_pair,
     _dualized,
     analyze_embedding,
     canonical_embedding,
@@ -399,6 +400,16 @@ def test_find_star_subspaces_matches_the_candidate_loop(make, n, k, limit):
     assert got
 
 
+def test_star_search_runs_on_distinct_pair_sums():
+    """W(5,3) in GF(3)^7 with k = 4: 627,760 pairs of maximals, 5,125
+    distinct sums; the first star subspace is <e_7>."""
+    gram = np.zeros((6, 6), dtype=np.uint8)
+    gram[[0, 2, 4], [1, 3, 5]], gram[[1, 3, 5], [0, 2, 4]] = 1, 2
+    ps = build_polar_space(GF3, 7, Form(GF3, "alternating", 6, gram=gram))
+    assert len(ps.maximals) == 1120
+    assert find_star_subspaces(ps, 4) == [Subspace.span(GF3, [[0] * 6 + [1]], 7)]
+
+
 def test_star_search_with_no_candidates():
     # in GF(2)^4 the pair sums of W(3,2) cover every point
     assert find_star_subspaces(w32(4), 3, limit=None) == []
@@ -419,13 +430,21 @@ def test_reduce_to_quotient_reports_the_first_image_without_u(spaces):
 
 def test_derived_embeddings_hold_no_reference_back(spaces):
     """The dual and the quotient embedding do not point back at their
-    source, so no reference cycle keeps either alive."""
+    source, so no reference cycle keeps either alive: neither through
+    their meta nor through their memo slots, filled here."""
     e = canonical_embedding(spaces["W(3,2)"], 3)
     dual = _dualized(e)
     g = reduce_to_quotient(e, extract_star_subspace(e))
     for derived in (dual, g):
-        assert not any(obj is e for obj in gc.get_referents(derived.meta))
-        assert not any(obj is e for obj in gc.get_referents(*derived.meta.values()))
+        derived.stacked()
+        _dualized(derived)
+        _base_witness_pair(derived, derived, 10)
+        slots = [derived.meta, *derived.meta.values(), derived._stack,
+                 *derived._stack, derived._dual, derived._base_witness,
+                 *derived._base_witness]
+        assert not any(obj is e for obj in slots)
+        assert not any(obj is e for obj in gc.get_referents(*slots))
+        assert not any(obj is e for obj in gc.get_referents(derived))
 
 
 # Digests of the outputs of the per-point and per-candidate loops, recorded
