@@ -11,6 +11,7 @@ The environment variable QGEOM_CAP overrides the global enumeration cap.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -125,6 +126,23 @@ def _parse_exports(specs: list[str]) -> list[tuple[str, str]]:
     return out
 
 
+def _check_writable(path: str) -> None:
+    """Raise the OSError that writing path would, without touching it: it
+    must not be a directory, and it or its directory must be writable."""
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif os.path.exists(path):
+        code = 0 if os.access(path, os.W_OK) else errno.EACCES
+    else:
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            code = errno.ENOENT
+        else:
+            code = 0 if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
+    if code:
+        raise OSError(code, os.strerror(code), path)
+
+
 def _config_phase(fn, *fn_args, **fn_kwargs):
     """Run a config-loading step; any failure becomes a ConfigError."""
     try:
@@ -165,7 +183,6 @@ def _cmd_field(args) -> int:
 
 
 def _cmd_grassmann(args, cap: int) -> int:
-    exports = _parse_exports(args.export)
     fieldq = _config_phase(
         lambda: field_from_config(load_json(args.field), cap=args.field_cap))
     g = GrassmannGraph(fieldq, args.n, args.k, workers=args.workers, cap=cap)
@@ -199,15 +216,13 @@ def _cmd_grassmann(args, cap: int) -> int:
             raise QGeomError("duality map failed to preserve adjacency")
         summary["duality_permutation"] = [int(x) for x in perm]
         print(f"duality: adjacency-preserving map onto k'={args.n - args.k} verified")
-    _export_graph(g, exports, extra={"q": fieldq.q, "n": args.n, "k": args.k})
+    _export_graph(g, args.export, extra={"q": fieldq.q, "n": args.n, "k": args.k})
     if args.out:
         write_text(args.out, canonical_json(summary))
     return 0
 
 
 def _cmd_polar(args, cap: int) -> int:
-    exports = _parse_exports(args.export)
-
     def setup():
         fieldq, form = polar_config(load_json(args.polar), cap=args.field_cap)
         return build_polar_space(fieldq, args.n, form, cap=cap)
@@ -226,7 +241,7 @@ def _cmd_polar(args, cap: int) -> int:
         table = intersection_numbers(g)
         summary["intersection_array"] = {str(i): list(v) for i, v in table.items()}
         print("intersection numbers:", {i: v for i, v in table.items()})
-    _export_graph(g, exports, extra={"kind": ps.form.kind})
+    _export_graph(g, args.export, extra={"kind": ps.form.kind})
     if args.out:
         write_text(args.out, canonical_json(summary))
     return 0
@@ -310,6 +325,8 @@ def run(argv: list[str]) -> int:
             parser.error(f"--k {args.k} outside 0..{args.n}")
         if getattr(args, "budget", 0) < 0:
             parser.error(f"--budget {args.budget} is negative")
+        if hasattr(args, "export"):
+            args.export = _parse_exports(args.export)
     except UsageError as ex:
         print(f"usage error: {ex}", file=sys.stderr)
         return 64
@@ -325,6 +342,11 @@ def run(argv: list[str]) -> int:
             return 65
 
     try:
+        # every destination is checked before any computation
+        for _, path in getattr(args, "export", []):
+            _check_writable(path)
+        if args.out:
+            _check_writable(args.out)
         if args.command == "field":
             return _cmd_field(args)
         if args.command == "grassmann":

@@ -74,6 +74,7 @@ from .subspace import (
     rank,
     rank_stack,
     rref_stack,
+    span_dim,
     span_stack,
     stack_bases,
 )
@@ -796,8 +797,7 @@ def _class_invariant(e: Embedding) -> tuple:
     """
     if e._invariant is None:
         d_star = multi_intersection(list(e.images)).dim
-        stacked = np.vstack([img.basis for img in e.images])
-        d_span = rank(e.field, stacked)
+        d_span = span_dim(e.images)
         if e.target_n == 2 * e.target_k:
             e._invariant = tuple(sorted((d_star, e.target_n - d_span)))
         else:

@@ -7,6 +7,16 @@ of its row space, which makes equality, hashing and ordering byte
 comparisons: equal subspaces have identical encodings, and sorting by
 the flattened entry sequence is the canonical order used for vertex
 lists everywhere in this package.
+
+Over GF(2) with at most 62 columns a packed path replaces the tables:
+each row is one Python int, and one elimination, :func:`_echelon_gf2`,
+backs :func:`rank`, :func:`rref`, :func:`nullspace` and the subspace
+lattice (sum, intersection and its dimension, annihilator, containment,
+:func:`multi_intersection`, :func:`span_dim`).  Each such subspace
+caches its RREF rows packed this way, filled in on first use.  Every
+other field or width takes the table-driven path, which is also the
+packed path's differential oracle in the tests; RREF bases are unique,
+so both give the same bytes.
 """
 
 from __future__ import annotations
@@ -45,22 +55,41 @@ def as_matrix(field: Field, data) -> np.ndarray:
     return A
 
 
-def _packed_gf2(field: Field, A: np.ndarray) -> bool:
-    """Does the packed GF(2) path take this (range-checked) matrix?"""
-    return field.q == 2 and A.shape[1] <= 62
+# -- packed GF(2) elimination ---------------------------------------------------
+#
+# Over GF(2) with at most 62 columns a row is one Python int, column c at
+# bit n - 1 - c, so the leftmost nonzero column is the highest set bit and
+# a row's lead is its bit_length.  A pivot table maps leads to rows.
+
+_FROM_ASCII = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _echelon_gf2(A: np.ndarray) -> dict[int, int]:
-    """Bit-packed GF(2) echelon form of the rows of a 0/1 matrix.
+def _packed_gf2(field: Field, n: int) -> bool:
+    """Does the packed GF(2) path take matrices with n columns?"""
+    return field.q == 2 and n <= 62
 
-    Each row becomes one int with column c at bit cols - 1 - c, so the
-    leftmost nonzero column is the highest set bit.  Returns the pivot
-    rows keyed by their bit_length: one per rank, forward-reduced only.
-    """
-    cols = A.shape[1]
-    weights = np.int64(1) << np.arange(cols - 1, -1, -1, dtype=np.int64)
-    pivots: dict[int, int] = {}
-    for x in (A.astype(np.int64) @ weights).tolist():
+
+def _pack_gf2(A: np.ndarray) -> list[int]:
+    """The rows of a (range-checked) 0/1 matrix as packed ints."""
+    weights = np.int64(1) << np.arange(A.shape[1] - 1, -1, -1, dtype=np.int64)
+    return (A.astype(np.int64) @ weights).tolist()
+
+
+def _unpack_gf2(words, n: int) -> np.ndarray:
+    """The (len(words), n) uint8 matrix of packed rows."""
+    spec = f"0{n}b"
+    text = bytearray("".join([format(w, spec) for w in words]), "ascii")
+    return np.frombuffer(text.translate(_FROM_ASCII), dtype=np.uint8).reshape(len(words), n)
+
+
+def _echelon_gf2(words, pivots: dict[int, int] | None = None) -> dict[int, int]:
+    """The one packed elimination: each row is reduced by the pivots its
+    leads hit until it vanishes or takes a new lead.  Extends the given
+    pivot table in place (a fresh one by default) and returns it; its size
+    is the rank.  Rows are forward-reduced only."""
+    if pivots is None:
+        pivots = {}
+    for x in words:
         while x:
             lead = x.bit_length()
             if lead not in pivots:
@@ -68,6 +97,36 @@ def _echelon_gf2(A: np.ndarray) -> dict[int, int]:
                 break
             x ^= pivots[lead]
     return pivots
+
+
+def _reduced_gf2(pivots: dict[int, int]) -> list[int]:
+    """The RREF rows of a pivot table, highest lead (top row) first.
+    Clears each pivot column from the rows with higher leads, in place;
+    a pivot row is already clear of every lower pivot column."""
+    leads = sorted(pivots)
+    for i, lead in enumerate(leads):
+        bit, row = 1 << (lead - 1), pivots[lead]
+        for high in leads[i + 1:]:
+            if pivots[high] & bit:
+                pivots[high] ^= row
+    return [pivots[lead] for lead in reversed(leads)]
+
+
+def _kernel_gf2(rows, n: int) -> list[int]:
+    """RREF rows of {x : r . x = 0 for every row r}, from RREF rows of
+    GF(2)^n: for each free column f, 1 at f and, at each row's pivot,
+    that row's entry in column f; then one elimination of those."""
+    leads = [r.bit_length() for r in rows]
+    free = []
+    for b in range(n, 0, -1):
+        if b not in leads:
+            bit = 1 << (b - 1)
+            v = bit
+            for r, lead in zip(rows, leads):
+                if r & bit:
+                    v |= 1 << (lead - 1)
+            free.append(v)
+    return _reduced_gf2(_echelon_gf2(free))
 
 
 def rref(field: Field, mat) -> tuple[np.ndarray, list[int]]:
@@ -79,19 +138,9 @@ def rref(field: Field, mat) -> tuple[np.ndarray, list[int]]:
     """
     A = as_matrix(field, mat)
     rows, cols = A.shape
-    if _packed_gf2(field, A):
-        echelon = _echelon_gf2(A)
-        leads = sorted(echelon)
-        for i, lead in enumerate(leads):
-            # clear this pivot column from the rows with higher leads; the
-            # pivot row is already clear of every lower pivot column
-            for high in leads[i + 1:]:
-                if echelon[high] >> (lead - 1) & 1:
-                    echelon[high] ^= echelon[lead]
-        leads.reverse()
-        packed = np.array([echelon[lead] for lead in leads], dtype=np.int64)
-        R = (packed[:, None] >> np.arange(cols - 1, -1, -1)) & 1
-        return R.astype(np.uint8), [cols - lead for lead in leads]
+    if _packed_gf2(field, cols):
+        words = _reduced_gf2(_echelon_gf2(_pack_gf2(A)))
+        return _unpack_gf2(words, cols), [cols - w.bit_length() for w in words]
     A = A.copy()
     mulT, addT = field.mul_table, field.add_table
     negT, invT = field.neg_table, field.inv_table
@@ -123,7 +172,9 @@ def rref(field: Field, mat) -> tuple[np.ndarray, list[int]]:
 def rank(field: Field, mat) -> int:
     """Row rank: the packed GF(2) echelon, else the pivot count of rref."""
     A = as_matrix(field, mat)
-    return len(_echelon_gf2(A) if _packed_gf2(field, A) else rref(field, A)[1])
+    if _packed_gf2(field, A.shape[1]):
+        return len(_echelon_gf2(_pack_gf2(A)))
+    return len(rref(field, A)[1])
 
 
 def rref_stack(field: Field, stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -298,10 +349,13 @@ class Subspace:
     hashing go through the flattened byte encoding, and ``<`` orders
     subspaces by (ambient dimension, dimension, entry sequence), which
     is the canonical vertex order.
+
+    Over GF(2) with n <= 62 the lattice operations run on the basis rows
+    packed as ints, filled in on first use.
     """
 
     __slots__ = ("field", "ambient_dim", "basis", "_bytes", "_hash",
-                 "_pivots", "_ann")
+                 "_pivots", "_ann", "_gf2")
 
     def __init__(self, field: Field, ambient_dim: int, basis: np.ndarray):
         # callers must pass a verified RREF basis; use span() otherwise
@@ -317,6 +371,7 @@ class Subspace:
         self._hash = hash((self.ambient_dim, b.shape[0], self._bytes))
         self._pivots = None
         self._ann = None
+        self._gf2 = None
 
     # -- constructors ------------------------------------------------------
 
@@ -337,6 +392,13 @@ class Subspace:
         return cls(field, n, R)
 
     @classmethod
+    def _from_gf2(cls, field: Field, ambient_dim: int, words: list[int]) -> "Subspace":
+        """The subspace with these packed RREF rows, its packed slot filled."""
+        s = cls(field, ambient_dim, _unpack_gf2(words, ambient_dim))
+        s._gf2 = tuple(words)
+        return s
+
+    @classmethod
     def zero(cls, field: Field, ambient_dim: int) -> "Subspace":
         return cls(field, ambient_dim, np.zeros((0, ambient_dim), dtype=np.uint8))
 
@@ -349,6 +411,19 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
+
+    def _packed(self) -> bool:
+        return _packed_gf2(self.field, self.ambient_dim)
+
+    def _words(self) -> tuple[int, ...]:
+        """The RREF rows packed as ints (packed GF(2) path only), cached."""
+        if self._gf2 is None:
+            self._gf2 = tuple(_pack_gf2(self.basis))
+        return self._gf2
+
+    def _pivot_table(self) -> dict[int, int]:
+        """A fresh pivot table of the RREF rows, for :func:`_echelon_gf2`."""
+        return {w.bit_length(): w for w in self._words()}
 
     @property
     def pivots(self) -> list[int]:
@@ -363,7 +438,12 @@ class Subspace:
     def contains(self, other: "Subspace") -> bool:
         """True iff other is a subspace of self."""
         self._check_compatible(other)
-        return other.dim <= self.dim and not reduce_rows_against(
+        if other.dim > self.dim:
+            return False
+        if self._packed():
+            # no row of other takes a new lead
+            return len(_echelon_gf2(other._words(), self._pivot_table())) == self.dim
+        return not reduce_rows_against(
             self.field, self.basis, self.pivots, other.basis).any()
 
     def all_vectors(self) -> np.ndarray:
@@ -379,28 +459,34 @@ class Subspace:
     # -- lattice operations ----------------------------------------------------
 
     def _check_compatible(self, other: "Subspace") -> None:
-        self.field.check_same(other.field)
+        if self.field is not other.field:
+            self.field.check_same(other.field)
         if self.ambient_dim != other.ambient_dim:
             raise AmbientMismatch(f"{self.ambient_dim} vs {other.ambient_dim}")
 
     def __add__(self, other: "Subspace") -> "Subspace":
         """Sum of subspaces (span of the union of bases)."""
         self._check_compatible(other)
+        if self._packed():
+            return Subspace._from_gf2(self.field, self.ambient_dim, _reduced_gf2(
+                _echelon_gf2(other._words(), self._pivot_table())))
         stacked = np.vstack([self.basis, other.basis])
         return Subspace.span(self.field, stacked, self.ambient_dim)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection, via annihilator duality: (A^0 + B^0)^0."""
         self._check_compatible(other)
-        joint = np.vstack([self.annihilator().basis, other.annihilator().basis])
-        return Subspace(self.field, self.ambient_dim,
-                        nullspace(self.field, joint))
+        return multi_intersection([self, other])
 
     __and__ = intersect
 
     def intersection_dim(self, other: "Subspace") -> int:
-        """dim(A ∩ B) = dim A + dim B - dim(A + B); no basis built."""
+        """dim(A ∩ B) = dim A + dim B - dim(A + B); no basis built.  Packed
+        GF(2): other's rows reduced against self's, whose leads differ."""
         self._check_compatible(other)
+        if self._packed():
+            return self.dim + other.dim - len(
+                _echelon_gf2(other._words(), self._pivot_table()))
         stacked = np.vstack([self.basis, other.basis])
         return self.dim + other.dim - rank(self.field, stacked)
 
@@ -411,8 +497,11 @@ class Subspace:
         so repeat annihilators are frequent and free.
         """
         if self._ann is None:
-            self._ann = Subspace(self.field, self.ambient_dim,
-                                 nullspace(self.field, self.basis))
+            n = self.ambient_dim
+            if self._packed():
+                self._ann = Subspace._from_gf2(self.field, n, _kernel_gf2(self._words(), n))
+            else:
+                self._ann = Subspace(self.field, n, nullspace(self.field, self.basis))
         return self._ann
 
     # -- value semantics ---------------------------------------------------------
@@ -444,29 +533,55 @@ class Subspace:
 
 
 def multi_intersection(spaces: list[Subspace]) -> Subspace:
-    """Intersection of many subspaces at once.
+    """Intersection of many subspaces at once: the kernel of all their
+    annihilators, which is much cheaper than folding pairwise intersections.
 
-    Stacks all annihilator bases and takes a single kernel, which is
-    much cheaper than folding pairwise intersections.
+    Packed GF(2): one elimination takes the annihilators' rows in turn and
+    stops at the zero subspace once their rank reaches n; otherwise the
+    kernel is read off the echelon.  Other fields stack the annihilator
+    bases and take a single :func:`nullspace`.
     """
     if not spaces:
         raise DimensionMismatch("need at least one subspace")
-    field = spaces[0].field
-    n = spaces[0].ambient_dim
+    first = spaces[0]
+    field, n = first.field, first.ambient_dim
+    if first._packed():
+        pivots: dict[int, int] = {}
+        for s in spaces:
+            first._check_compatible(s)
+            _echelon_gf2(s.annihilator()._words(), pivots)
+            if len(pivots) == n:
+                return Subspace.zero(field, n)
+        return Subspace._from_gf2(field, n, _kernel_gf2(_reduced_gf2(pivots), n))
     anns = np.vstack([a.basis for a in annihilators(spaces)])
     return Subspace(field, n, nullspace(field, anns))
 
 
+def span_dim(spaces) -> int:
+    """dim of the sum of many subspaces of one GF(q)^n; no basis built."""
+    if not spaces:
+        raise DimensionMismatch("need at least one subspace")
+    first = spaces[0]
+    if first._packed():
+        pivots: dict[int, int] = {}
+        for s in spaces:
+            first._check_compatible(s)
+            _echelon_gf2(s._words(), pivots)
+        return len(pivots)
+    return rank(first.field, np.vstack([s.basis for s in spaces]))
+
+
 def annihilators(spaces) -> list[Subspace]:
-    """:meth:`Subspace.annihilator` of many subspaces of one GF(q)^n; the
-    ones not yet cached come from one :func:`nullspace_stack`."""
+    """:meth:`Subspace.annihilator` of many subspaces of one GF(q)^n; off
+    the packed GF(2) path, the ones not yet cached come from one
+    :func:`nullspace_stack`."""
     todo = [s for s in spaces if s._ann is None]
-    if todo:
+    if todo and not todo[0]._packed():
         field, n = todo[0].field, todo[0].ambient_dim
         K, dims = nullspace_stack(field, stack_bases(field, todo, n))
         for s, basis, d in zip(todo, K, dims.tolist()):
             s._ann = Subspace(field, n, basis[:d])
-    return [s._ann for s in spaces]
+    return [s.annihilator() for s in spaces]
 
 
 def pairwise_intersection_dims(spaces: list[Subspace]) -> np.ndarray:

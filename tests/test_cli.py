@@ -140,6 +140,35 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
     assert err.startswith(f"usage error: cannot write {out}")
 
 
+@pytest.mark.parametrize("argv", [
+    ["embed", "classify", "--polar", cfg("w32.json"), "--n", "4", "--k", "2",
+     "--out", "{missing}/cls.json"],
+    ["embed", "search", "--polar", cfg("w32.json"), "--n", "4", "--k", "2",
+     "--out", "{missing}/s.json"],
+    ["grassmann", "--field", cfg("gf2.json"), "--n", "4", "--k", "2",
+     "--export", "g6:{tmp}/ok.g6", "--export", "csv:{missing}/g.csv"],
+    ["polar", "--polar", cfg("w32.json"), "--n", "4", "--export", "json:{tmp}"],
+])
+def test_output_paths_are_checked_before_any_work(argv, tmp_path, capsys, monkeypatch):
+    """An unwritable --out or --export is a usage error raised before the
+    config is read or anything is built: exit 64, one stderr line, no
+    stdout, and no file written."""
+    import qgeom.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("computed before checking the output paths")
+
+    for name in ("polar_config", "field_from_config", "search_embeddings"):
+        monkeypatch.setattr(cli, name, no_work)
+    argv = [a.format(missing=tmp_path / "missing", tmp=tmp_path) for a in argv]
+    assert run(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("usage error: cannot write ")
+    assert os.listdir(tmp_path) == []
+
+
 # ---------------------------------------------------------------------------
 # grassmann command
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""Differential tests of the packed GF(2) elimination behind rank and rref.
+"""Differential tests of the packed GF(2) elimination behind rank, rref
+and nullspace.
 
-On GF(2) with at most 62 columns, ``rank`` and ``rref`` pack each row
-into one int.  The oracle is the table-driven elimination that every
-other field uses, reached here by switching the packed path off.
+On GF(2) with at most 62 columns, ``rank``, ``rref`` and ``nullspace``
+pack each row into one int.  The oracle is the table-driven elimination
+that every other field uses, reached here by switching the packed path
+off.
 """
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 
 from qgeom import subspace
 from qgeom.gf import Field
-from qgeom.subspace import rank, rref
+from qgeom.subspace import nullspace, rank, rref
 
 GF2 = Field(2)
 
@@ -52,11 +54,18 @@ def assert_same_rref(got, want):
     assert all(type(p) is int for p in p1)
 
 
+def assert_same_matrix(got, want):
+    assert got.dtype == want.dtype == np.uint8
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
 def test_packed_path_matches_table_driven_on_random_matrices(monkeypatch):
     rng = np.random.default_rng(2)
     for A in random_matrices(rng, 1500):
         assert_same_rref(rref(GF2, A), table_driven(monkeypatch, rref, A))
         assert rank(GF2, A) == table_driven(monkeypatch, rank, A)
+        assert_same_matrix(nullspace(GF2, A), table_driven(monkeypatch, nullspace, A))
 
 
 def test_packed_path_matches_table_driven_on_edge_shapes(monkeypatch):
@@ -64,32 +73,35 @@ def test_packed_path_matches_table_driven_on_edge_shapes(monkeypatch):
     for A in shaped_matrices(rng):
         assert_same_rref(rref(GF2, A), table_driven(monkeypatch, rref, A))
         assert rank(GF2, A) == table_driven(monkeypatch, rank, A)
+        assert_same_matrix(nullspace(GF2, A), table_driven(monkeypatch, nullspace, A))
 
 
 def test_packed_path_is_taken_up_to_62_columns(monkeypatch):
     calls = []
-    echelon = subspace._echelon_gf2
+    pack = subspace._pack_gf2
 
     def spy(A):
         calls.append(A.shape[1])
-        return echelon(A)
+        return pack(A)
 
-    monkeypatch.setattr(subspace, "_echelon_gf2", spy)
+    monkeypatch.setattr(subspace, "_pack_gf2", spy)
     for cols in (0, 1, 62, 63):
         A = np.ones((2, cols), dtype=np.uint8)
         rref(GF2, A)
         rank(GF2, A)
-    assert calls == [0, 0, 1, 1, 62, 62]
+        nullspace(GF2, A)
+    assert calls == [0, 0, 0, 1, 1, 1, 62, 62, 62]
     rank(Field(3), np.ones((2, 4), dtype=np.uint8))
     rref(Field(2, 2), np.ones((2, 4), dtype=np.uint8))
-    assert calls == [0, 0, 1, 1, 62, 62]
+    nullspace(Field(2, 2), np.ones((2, 4), dtype=np.uint8))
+    assert calls == [0, 0, 0, 1, 1, 1, 62, 62, 62]
 
 
 @pytest.mark.parametrize("cols", [4, 62, 63])
 def test_out_of_range_entries_raise_like_the_table_path(monkeypatch, cols):
     A = np.zeros((2, cols), dtype=np.uint8)
     A[1, 0] = 3
-    for fn in (rref, rank):
+    for fn in (rref, rank, nullspace):
         with pytest.raises(ValueError) as packed:
             fn(GF2, A)
         with pytest.raises(ValueError) as table:
