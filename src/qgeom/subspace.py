@@ -545,10 +545,11 @@ def multi_intersection(spaces: list[Subspace]) -> Subspace:
         raise DimensionMismatch("need at least one subspace")
     first = spaces[0]
     field, n = first.field, first.ambient_dim
+    for s in spaces[1:]:
+        first._check_compatible(s)
     if first._packed():
         pivots: dict[int, int] = {}
         for s in spaces:
-            first._check_compatible(s)
             _echelon_gf2(s.annihilator()._words(), pivots)
             if len(pivots) == n:
                 return Subspace.zero(field, n)
@@ -572,16 +573,15 @@ def span_dim(spaces) -> int:
 
 
 def annihilators(spaces) -> list[Subspace]:
-    """:meth:`Subspace.annihilator` of many subspaces of one GF(q)^n; off
-    the packed GF(2) path, the ones not yet cached come from one
-    :func:`nullspace_stack`."""
+    """:meth:`Subspace.annihilator` of many subspaces of one GF(q)^n; the
+    ones not yet cached come from one :func:`nullspace_stack`."""
     todo = [s for s in spaces if s._ann is None]
-    if todo and not todo[0]._packed():
+    if todo:
         field, n = todo[0].field, todo[0].ambient_dim
         K, dims = nullspace_stack(field, stack_bases(field, todo, n))
         for s, basis, d in zip(todo, K, dims.tolist()):
             s._ann = Subspace(field, n, basis[:d])
-    return [s.annihilator() for s in spaces]
+    return [s._ann for s in spaces]
 
 
 def pairwise_intersection_dims(spaces: list[Subspace]) -> np.ndarray:

@@ -15,6 +15,7 @@ import pytest
 
 from qgeom import subspace
 from qgeom.embed import _class_invariant, search_embeddings
+from qgeom.errors import AmbientMismatch, FieldMismatch
 from qgeom.gf import Field
 from qgeom.grassmann import enum_grassmannian
 from qgeom.polar import Form, build_polar_space
@@ -167,3 +168,15 @@ def test_micro_census_split_and_class_invariants(monkeypatch):
         images = list(res.embeddings[idx].images)
         assert (multi_intersection(images).key
                 == table_driven(monkeypatch, multi_intersection, images).key)
+
+
+@pytest.mark.parametrize("other", [Subspace.full(GF2, 4), Subspace.full(GF3, 3)],
+                         ids=["GF(2)^4", "GF(3)^3"])
+def test_multi_intersection_checks_every_space_before_it_stops(other):
+    """The zero subspace's annihilator alone has rank n, which ends the
+    elimination, but every later space is still checked first."""
+    zero = Subspace.zero(GF2, 3)
+    error = AmbientMismatch if other.field is GF2 else FieldMismatch
+    for spaces in ([zero, other], [zero, Subspace.full(GF2, 3), other]):
+        with pytest.raises(error):
+            multi_intersection(spaces)
