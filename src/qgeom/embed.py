@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field
-from operator import and_, itemgetter
 from types import MappingProxyType
 
 import numpy as np
@@ -53,6 +52,8 @@ from .errors import (
 from .gf import Field
 from .grassmann import (
     DISTANCE_CACHE_CAP,
+    _pack_rows,
+    _unpack_rows,
     gaussian_binomial,
     grassmann_graph_cached,
 )
@@ -81,6 +82,8 @@ from .subspace import (
 
 BFS_CROSSCHECK_CAP = 400
 DEFAULT_WITNESS_BUDGET = 10_000
+# byte budget of one chunk of census children (their domains and indices)
+_CENSUS_BLOCK_BYTES = 1 << 20
 _NO_META = MappingProxyType({})
 
 
@@ -106,12 +109,15 @@ class Embedding:
                             else source.ambient_dim)
         self.images = tuple(images)
         self.meta = dict(meta) if meta else _NO_META
-        self._key = tuple(s._bytes for s in self.images)
         self._verified = False
-        self._analysis = self._invariant = self._stack = self._dual = self._base_witness = None
+        self._key = self._analysis = self._invariant = self._stack = self._dual = None
+        self._base_witness = None
 
     @property
     def key(self) -> tuple:
+        """The images' bytes, one entry per maximal; built on first use."""
+        if self._key is None:
+            self._key = tuple(s._bytes for s in self.images)
         return self._key
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
@@ -194,7 +200,7 @@ def verify_isometric(e: Embedding, crosscheck: str | bool = "auto") -> dict:
             raise AmbientMismatch(f"image in dimension {img.ambient_dim}, not {n}")
         if img.dim != k:
             raise DimensionMismatch(f"image of dimension {img.dim}, not {k}")
-    if len(set(e._key)) != len(e._key):
+    if len(set(e.key)) != len(e.images):
         raise NotInjective("two maximals share an image")
 
     DS = ps.certified_distances
@@ -518,64 +524,84 @@ class SearchResult:
         return iter(self.embeddings)
 
 
-def _distance_masks(DT: np.ndarray, dmax: int) -> list[list[int]]:
-    """masks[v][d]: the bitset (a Python int) of the targets w with DT[v, w] == d."""
-    per_d = [[int.from_bytes(row.tobytes(), "little")
-              for row in np.packbits(DT == d, axis=1, bitorder="little")]
-             for d in range(dmax + 1)]
-    return [list(row) for row in zip(*per_d)]
+def _distance_words(DT: np.ndarray, dmax: int) -> np.ndarray:
+    """The (V, dmax + 1, W) uint64 word table of the distance matrix: bit
+    w % 64 of word w // 64 in row [v, d] is set when DT[v, w] == d, with
+    W = ceil(V / 64) and the padding bits clear."""
+    return _pack_rows(DT[:, None, :] == np.arange(dmax + 1, dtype=DT.dtype)[:, None])
 
 
-def _bitset_dfs(masks, DS, prefix, out) -> int:
-    """Backtracking census over bitset domains.
+def _level_census(table: np.ndarray, DS: np.ndarray, prefix, out) -> int:
+    """Backtracking census, expanded one level at a time over word domains.
 
-    Each unassigned maximal keeps its domain of still-possible targets as
-    one int; assigning v to maximal t narrows every later domain by one
-    AND with the targets at the required distance from v, and v is pruned
-    when any of them empties.  Candidates are tried in ascending order,
-    so full index tuples are appended to out in lexicographic order.
-    Returns the node count: every candidate tried, on every level.
+    Each open maximal's domain of still-possible targets is W uint64
+    words.  A block of live partial assignments expands its first open
+    domain into (row, vertex) pairs in row-major order, so children stay
+    in lexicographic order; one gathered AND with the words of each new
+    vertex narrows the remaining domains, and children with an empty
+    domain are dropped.  Children are made in chunks under
+    ``_CENSUS_BLOCK_BYTES`` and each chunk is finished depth-first before
+    the next, so memory is O(depth x block).  Full index tuples are
+    appended to out one block at a time, in lexicographic order.
+    Returns the node count: the popcount of the first open domain of
+    every visited assignment, summed over all levels.
     """
     T = len(DS)
     t0 = len(prefix)
     if t0 == T:
         out.append(tuple(prefix))
         return 0
-    domains = []
-    for t in range(t0, T):
-        dom = (1 << len(masks)) - 1
-        for s, v in enumerate(prefix):
-            dom &= masks[v][DS[s][t]]
-        domains.append(dom)
-    # pick[t](masks[v]) lists the masks for the maximals after t; the
-    # trailing 0 makes it a tuple even for one maximal, and map drops it
-    pick = [itemgetter(*DS[t][t + 1:], 0) for t in range(T - 1)]
+    V, W = len(table), table.shape[2]
+    dom = _pack_rows(np.ones((T - t0, V), dtype=bool))
+    for s, v in enumerate(prefix):
+        dom &= table[v, DS[s, t0:]]
     nodes = 0
-    assign = list(prefix)
 
-    def rec(t, doms):
+    def children(t, assign, doms, r, c):
+        """The live children (paths, domains) of the pairs (row r, vertex c)."""
+        # the words of the distinct vertices at the required distances,
+        # gathered once and spread to the children
+        seen = np.zeros(V, dtype=bool)
+        seen[c] = True
+        need = np.take(np.take(table, np.flatnonzero(seen), axis=0), DS[t, t + 1:], axis=1)
+        kids = np.take(need, (np.cumsum(seen) - 1)[c], axis=0)
+        kids &= np.take(doms, r, axis=0)[:, 1:]
+        nonempty = kids[:, :, 0].copy()
+        for w in range(1, W):
+            nonempty |= kids[:, :, w]
+        live = nonempty.all(axis=1)
+        return np.column_stack([assign[r], c])[live], kids[live]
+
+    def expand(t, assign, doms):
+        """Yield the child blocks of the block (assign, doms) at level t."""
         nonlocal nodes
-        cand, rest = doms[0], doms[1:]
-        nodes += cand.bit_count()
-        if t == T - 1:
-            while cand:
-                low = cand & -cand
-                out.append((*assign, low.bit_length() - 1))
-                cand ^= low
-            return
-        get = pick[t]
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
-            nxt = list(map(and_, rest, get(masks[v])))
-            if 0 in nxt:
-                continue
-            assign.append(v)
-            rec(t + 1, nxt)
-            assign.pop()
+        rest = T - t - 1
+        # pairs per chunk: each child holds rest domains and t + 1 indices
+        chunk = max(1, _CENSUS_BLOCK_BYTES // (8 * (rest * W + t + 1)))
+        counts = np.bitwise_count(doms[:, 0]).sum(axis=1)
+        # rows grouped by the chunk their first pair falls in; a row's
+        # pairs are never split between groups
+        group = (np.cumsum(counts) - counts) // chunk
+        cuts = np.flatnonzero(np.diff(group)) + 1
+        for lo, hi in zip(np.r_[0, cuts].tolist(), np.r_[cuts, len(doms)].tolist()):
+            # (row, vertex) pairs of the first open domains, row-major
+            rows, cols = np.divmod(np.flatnonzero(_unpack_rows(doms[lo:hi, 0], V)), V)
+            nodes += len(rows)
+            rows += lo
+            for a in range(0, len(rows), chunk):
+                r, c = rows[a:a + chunk], cols[a:a + chunk]
+                if rest:
+                    yield (t + 1, *children(t, assign, doms, r, c))
+                else:
+                    out.extend(map(tuple, np.column_stack([assign[r], c]).tolist()))
 
-    rec(t0, domains)
+    stack = [expand(t0, np.array([prefix], dtype=np.intp).reshape(1, t0), dom[None])]
+    while stack:
+        block = next(stack[-1], None)
+        if block is None:
+            stack.pop()
+        else:
+            stack.append(expand(*block))
     return nodes
 
 
@@ -589,10 +615,13 @@ def search_embeddings(ps: PolarSpace, n: int, k: int, anchor: bool = True,
     With ``anchor=True`` the image of the first maximal is pinned to the
     canonical embedding's first image, which is sound for counting
     equivalence classes because the Grassmann graph is vertex-transitive
-    under invertible linear maps.  Results come back in lexicographic
-    index order.  The search runs in this process; ``workers`` is
-    accepted for compatibility and changes nothing, neither the tuples
-    nor the node count.
+    under invertible linear maps.  The search is :func:`_level_census`:
+    domains of uint64 words from the target's distance matrix, expanded
+    level by level in blocks under a fixed byte budget.  Results come
+    back in lexicographic index order, and ``nodes`` counts every
+    candidate tried on every level.  The search runs in this process;
+    ``workers`` is accepted for compatibility and changes nothing,
+    neither the tuples nor the node count.
     """
     if n != ps.ambient_dim:
         raise AmbientMismatch(
@@ -618,8 +647,7 @@ def search_embeddings(ps: PolarSpace, n: int, k: int, anchor: bool = True,
             pass
 
     tuples: list[tuple[int, ...]] = []
-    nodes = _bitset_dfs(_distance_masks(DT, int(DS.max())), DS.tolist(),
-                        prefix, tuples)
+    nodes = _level_census(_distance_words(DT, int(DS.max())), DS, prefix, tuples)
 
     embeddings = [Embedding(ps, k, [target.vertices[v] for v in tup]) for tup in tuples]
     return SearchResult(embeddings, bool(prefix), anchor_index, nodes, tuples)
@@ -844,12 +872,12 @@ def _construct_witness(fa: Embedding, fb: Embedding,
 
 def _base_witness_pair(base: Embedding, e: Embedding, budget: int):
     """(witness base->e, its inverse), memoized on e as (base key, w, w^-1)."""
-    if e._base_witness is None or e._base_witness[0] != base._key:
-        if e._key == base._key:
+    if e._base_witness is None or e._base_witness[0] != base.key:
+        if e.key == base.key:
             w = EquivalenceWitness.identity(e.field, e.target_n)
         else:
             w = _construct_witness(base, e, budget)
-        e._base_witness = (base._key, w, w.inverse())
+        e._base_witness = (base.key, w, w.inverse())
     return e._base_witness[1:]
 
 
@@ -873,7 +901,7 @@ def connecting_automorphism(f1: Embedding, f2: Embedding,
     if (f1.target_n, f1.target_k) != (f2.target_n, f2.target_k):
         raise DimensionMismatch("embeddings target different Grassmannians")
     ps = f1.source
-    if f1._key == f2._key:
+    if f1.key == f2.key:
         return EquivalenceWitness.identity(ps.field, f1.target_n)
     if _class_invariant(f1) != _class_invariant(f2):
         raise NotEquivalent(

@@ -6,9 +6,10 @@ graph whose edges join subspaces meeting in dimension k-1 from the
 member-bitset kernel ``pairwise_intersection_dims``, and provides two
 independent distance computations: the closed form k - dim(A ∩ B) on
 RREF bases, and a level-synchronous BFS that reads only the adjacency
-(frontier @ 0/1 adjacency in float32, exact since all sums stay below
-2^24).  Also: stars, the annihilator duality, and the empirical
-distance-regularity check, counted by the same kind of product.
+(every ball of radius l + 1 is the OR of the radius-l balls of the closed
+neighbourhood, as rows of uint64 words).  Also: stars, the annihilator
+duality, and the empirical distance-regularity check, whose neighbour
+counts are popcounts of sphere words against adjacency words.
 """
 
 from __future__ import annotations
@@ -31,10 +32,25 @@ from .subspace import (
 )
 
 DEFAULT_ENUM_CAP = 10**6
-# float32 sums of 0/1 products are exact below 2**24, far above this cap
 DISTANCE_CACHE_CAP = 5000
-# byte budget of one block of sources in the float32 matrix products
+# byte budget of one block of rows in the BFS and the neighbour counts
 _SOURCE_BLOCK_BYTES = 1 << 21
+
+
+def _pack_rows(bits: np.ndarray) -> np.ndarray:
+    """Boolean rows (..., V) as uint64 words (..., ceil(V / 64)): bit
+    v % 64 of word v // 64 is bits[..., v], and the padding bits are clear."""
+    V = bits.shape[-1]
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    out = np.zeros(bits.shape[:-1] + (8 * -(-V // 64),), dtype=np.uint8)
+    out[..., :packed.shape[-1]] = packed
+    return out.view("<u8")
+
+
+def _unpack_rows(words: np.ndarray, V: int) -> np.ndarray:
+    """The inverse of _pack_rows for 2-d word rows: a (rows, V) bool array."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=V,
+                         bitorder="little").view(bool)
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -160,24 +176,6 @@ class FiniteGraph:
         if not 0 <= a < self.n_vertices:
             raise BadIndex(f"vertex {a} out of range [0, {self.n_vertices})")
 
-    def _dense_adjacency(self) -> np.ndarray:
-        """A[u, v] = how often v is listed in adj[u], as float32 for BLAS."""
-        A = np.zeros((self.n_vertices,) * 2, dtype=np.float32)
-        for u, nbrs in enumerate(self.adj):
-            np.add.at(A[u], nbrs, 1)
-        return A
-
-    def _bfs_block(self, A: np.ndarray, sources: np.ndarray) -> np.ndarray:
-        """Distance rows of the given sources, one frontier @ A per level."""
-        dist = np.full((len(sources), self.n_vertices), -1, dtype=np.int16)
-        dist[np.arange(len(sources)), sources] = 0
-        frontier, level = dist == 0, 0
-        while frontier.any():
-            level += 1
-            frontier = (frontier.astype(np.float32) @ A > 0) & (dist < 0)
-            dist[frontier] = level
-        return dist
-
     def _bfs_row(self, source: int) -> np.ndarray:
         dist = np.full(self.n_vertices, -1, dtype=np.int16)
         dist[source] = 0
@@ -193,16 +191,42 @@ class FiniteGraph:
 
     @property
     def distance_matrix(self) -> np.ndarray:
-        """All-pairs BFS distances, -1 for unreachable; cached."""
+        """All-pairs BFS distances, -1 for unreachable; cached.
+
+        Level-synchronous over all sources at once: ball_{l+1}(u) is the OR
+        of ball_l(w) over u and its neighbours w, rows of uint64 words, and
+        v lies at distance d from u when it first joins u's ball at l = d.
+        Rows are gathered in blocks under ``_SOURCE_BLOCK_BYTES``."""
         if self._dist is None:
             n = self.n_vertices
             if n > DISTANCE_CACHE_CAP:
                 raise TooLarge(f"{n} vertices exceed the distance cache cap")
-            A = self._dense_adjacency()
-            D = np.empty((n, n), dtype=np.int16)
-            step = max(1, _SOURCE_BLOCK_BYTES // (16 * n)) if n else 1
-            for lo in range(0, n, step):
-                D[lo:lo + step] = self._bfs_block(A, np.arange(lo, min(lo + step, n)))
+            # closed neighbourhoods, u first, flattened; starts[u] is where
+            # u's begins
+            sizes = np.array([len(a) for a in self.adj], dtype=np.intp)
+            heads = np.cumsum(sizes) - sizes
+            flat = np.insert(np.concatenate((*self.adj, np.zeros(0, np.int32))).astype(np.intp),
+                             heads, np.arange(n))
+            starts = np.r_[heads + np.arange(n), len(flat)]
+            # a block's gathered words and unpacked rows stay under the budget
+            widest = int(sizes.max(initial=0)) + 1
+            step = max(1, _SOURCE_BLOCK_BYTES // (8 * -(-n // 64) * widest + n + 1))
+            blocks = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+            ball = _pack_rows(np.eye(n, dtype=bool))
+            D = np.zeros((n, n), dtype=np.int16)
+            grown = True
+            while grown:
+                grown = False
+                nxt = np.empty_like(ball)
+                for lo, hi in blocks:
+                    a, b = starts[lo], starts[hi]
+                    nxt[lo:hi] = np.bitwise_or.reduceat(ball[flat[a:b]], starts[lo:hi] - a, axis=0)
+                    grown = grown or not np.array_equal(nxt[lo:hi], ball[lo:hi])
+                    # outside the radius-l ball: farther than l, or unreachable
+                    D[lo:hi] += ~_unpack_rows(ball[lo:hi], n)
+                ball = nxt
+            for lo, hi in blocks:
+                D[lo:hi][~_unpack_rows(ball[lo:hi], n)] = -1
             D.setflags(write=False)
             self._dist = D
         return self._dist
@@ -244,35 +268,68 @@ def intersection_numbers(g: FiniteGraph) -> dict[int, tuple[int, int, int]]:
     For every vertex pair at distance i, counts the neighbors of the
     second vertex at distances i-1, i, i+1 from the first.  Succeeds iff
     the counts are constant over all pairs; no closed formulas are
-    assumed anywhere.  Counts come from float32 products (D == j) @ A^T
-    over row blocks; witnesses and failures are the first pairs in
+    assumed anywhere.  The count of neighbours of v at distance j from u
+    is the popcount of u's distance-j sphere words AND v's adjacency words
+    (summed over the multiplicity layers), over row blocks, for every j but
+    0, which is read off the adjacency, and the largest, which gets the
+    neighbours left over; witnesses and failures are the first pairs in
     row-major order.
     """
     if not g.is_connected():
         raise Disconnected("intersection numbers need a connected graph")
     D = g.distance_matrix
     lo_d, hi_d = int(D.min()), int(D.max())
-    At = g._dense_adjacency().T
+    n = g.n_vertices
+    # A[v, w] = how often w is listed in adj[v]; layer m of the adjacency
+    # words holds the w listed more than m times, so popcounts summed over
+    # the layers count repeated neighbours (one layer for a simple graph)
+    A = np.zeros((n, n), dtype=np.int32)
+    for v, nbrs in enumerate(g.adj):
+        np.add.at(A[v], nbrs, 1)
+    layers = [_pack_rows(A > m).T.copy() for m in range(int(A.max()))]
+    degrees = A.sum(axis=1, dtype=np.int32)
     table: dict[int, tuple[int, int, int]] = {}
     witness: dict[int, tuple[int, int]] = {}
-    n = g.n_vertices
-    step = max(1, _SOURCE_BLOCK_BYTES // (48 * n))
+    span = hi_d - lo_d + 1
+    # expected[:, i - lo_d] = (c_i, a_i, b_i) once distance i has a witness
+    expected = np.zeros((3, span), dtype=np.int32)
+    known = np.zeros(span, dtype=bool)
+    step = max(1, _SOURCE_BLOCK_BYTES // ((4 * span + 64) * n))
     for lo in range(0, n, step):
         Dblk = D[lo:lo + step]
+        at = Dblk - lo_d
+        # counts[j - lo_d + 1, u, v] = neighbours of v at distance j from u,
+        # between two zero planes; the last distance gets the neighbours
+        # left over, since every distance lies in lo_d..hi_d
+        counts = np.zeros((span + 2,) + Dblk.shape, dtype=np.int32)
+        left = counts[span]
+        left += degrees
+        both = np.empty(Dblk.shape, dtype=np.uint64)
+        ones = np.empty(Dblk.shape, dtype=np.uint8)
+        for j in range(lo_d, hi_d):
+            M = counts[j - lo_d + 1]
+            if j == 0:
+                # the distance-0 sphere of u is u itself
+                M += A[:, lo:lo + step].T
+            else:
+                sphere = _pack_rows(Dblk == j)
+                for layer in layers:
+                    for w, words in enumerate(layer):
+                        np.bitwise_and(sphere[:, w, None], words, out=both)
+                        M += np.bitwise_count(both, out=ones)
+            left -= M
         # cab[:, u, v] = neighbors of v at distances i-1, i, i+1 from u, i = D[u, v]
-        cab = np.zeros((3,) + Dblk.shape, dtype=np.float32)
-        for j in range(lo_d, hi_d + 1):
-            M = (Dblk == j).astype(np.float32) @ At
-            for s in range(3):
-                np.copyto(cab[s], M, where=Dblk == j + 1 - s)
-        for i in np.unique(Dblk).tolist():
-            if i != 0 and i not in table:
-                u, v = divmod(int(np.argmax(Dblk == i)), n)
+        cab = np.stack([np.take_along_axis(counts, (at + s)[None], axis=0)[0]
+                        for s in range(3)])
+        for i in range(lo_d, hi_d + 1):
+            hit = Dblk == i
+            if i != 0 and not known[i - lo_d] and hit.any():
+                u, v = divmod(int(np.argmax(hit)), n)
                 table[i] = tuple(int(x) for x in cab[:, u, v])
                 witness[i] = (lo + u, v)
-        bad = np.zeros(Dblk.shape, dtype=bool)
-        for i, (c, a, b) in table.items():
-            bad |= (Dblk == i) & ((cab[0] != c) | (cab[1] != a) | (cab[2] != b))
+                expected[:, i - lo_d] = table[i]
+                known[i - lo_d] = True
+        bad = known[at] & (cab != expected[:, at]).any(axis=0)
         if bad.any():
             u, v = divmod(int(np.argmax(bad)), n)
             i, pair = int(Dblk[u, v]), (lo + u, v)

@@ -230,7 +230,7 @@ def test_criterion_7_uniqueness_census(spaces):
     res = search_embeddings(micro, 5, 3, anchor=True)
     assert res.anchored and len(res.embeddings) > 0
     base = canonical_embedding(micro, 3)
-    assert any(e._key == base._key for e in res.embeddings)
+    assert any(e.key == base.key for e in res.embeddings)
 
     star, flat = [], []
     for e in res.embeddings:

@@ -1,8 +1,10 @@
-"""Differential tests of the member-bitset kernel and the matrix-product BFS.
+"""Differential tests of the member-bitset kernel and the word-row BFS.
 
 The RREF path (``Subspace.intersection_dim``, ``rank``) is the oracle for
 the bitset kernel; ``FiniteGraph._bfs_row`` (plain queue BFS) is the
-oracle for the level-synchronous distance matrix.
+oracle for the level-synchronous distance matrix, and a per-pair count
+over the adjacency lists is the oracle for the popcount neighbour counts
+of ``intersection_numbers``.
 """
 
 import warnings
@@ -152,7 +154,7 @@ def test_dual_polar_adjacency_matches_rank_rule():
 
 
 # ---------------------------------------------------------------------------
-# matrix-product BFS against the queue BFS
+# word-row BFS against the queue BFS
 # ---------------------------------------------------------------------------
 
 def test_distance_matrix_matches_bfs_rows():
@@ -189,6 +191,83 @@ def test_intersection_numbers_count_repeated_neighbors():
     # the 4-cycle with every edge listed twice: each count doubles
     g = FiniteGraph(range(4), [[1, 1, 3, 3], [0, 0, 2, 2], [1, 1, 3, 3], [0, 0, 2, 2]])
     assert intersection_numbers(g) == {1: (2, 0, 2), 2: (4, 0, 0)}
+
+
+def random_graph(V, seed, symmetric=True):
+    """Sparse random adjacency lists; unsymmetric ones may list a
+    neighbour twice and leave vertices unreachable."""
+    rng = np.random.default_rng(seed)
+    adj = [[] for _ in range(V)]
+    for u in range(V):
+        for v in rng.choice(V, size=min(V, 3), replace=False).tolist():
+            if v != u:
+                adj[u].append(v)
+                if symmetric:
+                    adj[v].append(u)
+    return FiniteGraph(range(V), adj)
+
+
+def direct_intersection_numbers(g):
+    """The intersection array, or the NotDistanceRegular args, from a
+    per-pair count over the adjacency lists in row-major order."""
+    D = bfs_rows(g)
+    n = g.n_vertices
+    table, witness = {}, {}
+    for lo in range(n):
+        cab = {}
+        for v in range(n):
+            i = int(D[lo, v])
+            counts = [0, 0, 0]
+            for w in g.adj[v].tolist():
+                if D[lo, w] in (i - 1, i, i + 1):
+                    counts[int(D[lo, w]) - i + 1] += 1
+            cab[v] = tuple(counts)
+            if i != 0 and i not in table:
+                table[i], witness[i] = cab[v], (lo, v)
+        for v in range(n):
+            i = int(D[lo, v])
+            if i in table and cab[v] != table[i]:
+                return (f"distance-{i} counts differ: pair {witness[i]} gives "
+                        f"{table[i]}, pair {(lo, v)} gives {cab[v]}",
+                        (i, witness[i] + table[i], (lo, v, cab[v])))
+    return {i: table[i] for i in sorted(table)}
+
+
+@pytest.mark.parametrize("budget", [None, 64], ids=["default-budget", "64-bytes"])
+@pytest.mark.parametrize("V", [1, 63, 64, 65, 128, 129])
+def test_word_rows_across_word_boundaries(V, budget, monkeypatch):
+    """BFS and neighbour counts on random graphs whose vertex counts sit on
+    both sides of a 64-bit word boundary, the counts one row per block
+    when the budget is 64 bytes."""
+    if budget is not None:
+        monkeypatch.setattr(grassmann, "_SOURCE_BLOCK_BYTES", budget)
+    for seed in range(3):
+        g = random_graph(V, seed)
+        assert np.array_equal(g.distance_matrix, bfs_rows(g))
+        if g.is_connected():
+            want = direct_intersection_numbers(g)
+            try:
+                got = intersection_numbers(g)
+            except NotDistanceRegular as exc:
+                got = exc.args
+            assert got == want
+        directed = random_graph(V, seed, symmetric=False)
+        assert np.array_equal(directed.distance_matrix, bfs_rows(directed))
+
+
+def test_intersection_numbers_match_a_direct_count():
+    """Distance-regular graphs (with and without doubled edges) and
+    non-regular ones: the same array, or the same first failing pair."""
+    graphs = [grassmann_graph(Field(2), 4, 2), grassmann_graph(Field(3), 4, 2),
+              path(5), FiniteGraph(range(5), [[1, 1, 4], [0, 0, 2], [1, 3], [2, 4], [3, 0]])]
+    graphs += [dual_polar_graph(ps) for ps in polar_spaces()]
+    for g in graphs:
+        want = direct_intersection_numbers(g)
+        try:
+            got = intersection_numbers(g)
+        except NotDistanceRegular as exc:
+            got = exc.args
+        assert got == want
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,22 @@
-"""Differential test of the bitset census against the former array DFS.
+"""Differential tests of the level census against two former engines.
 
-``old_search`` below is the census as it ran before the bitset engine:
-one (T - t) x N boolean future table per node, narrowed by comparing
-distance-matrix rows.  It is the oracle: the bitset search must return
-the same index tuples, in the same order, and the same node count.
+``search_embeddings`` expands whole blocks of partial assignments one
+level at a time over uint64 word domains (``_level_census``).  Two
+earlier engines are kept here as oracles, and the level census must
+return the same index tuples, in the same order, and the same node count:
+
+* ``_distance_dfs``, the first census: one (T - t) x N boolean future
+  table per node, narrowed by comparing distance-matrix rows;
+* ``_bitset_dfs``, the recursive census that came next: one Python-int
+  domain per open maximal, one candidate at a time.
+
+The polar-space instances below are checked against the array DFS.
+Synthetic distance tables with V in {1, 63, 64, 65, 128, 129} targets,
+checked against the bitset DFS (and the array DFS up to 65), put the
+word boundaries on both sides; they run once with the default block
+budget and once with a budget of a few hundred bytes, so every level is
+split into many chunks.  Random pinned prefixes include ones whose later
+domains start empty.
 
 The instances are every (polar space, n, k) with a polar space below, n
 its form dimension or one more, m <= k <= n and a target of at most 155
@@ -16,13 +29,15 @@ both in GF(2)^5 for k = 2 and k = 3 (about 155 times an anchored one).
 """
 
 import functools
+from operator import and_, itemgetter
 
 import numpy as np
 import pytest
 
+from qgeom import embed
 from qgeom.embed import (
-    _bitset_dfs,
-    _distance_masks,
+    _distance_words,
+    _level_census,
     canonical_embedding,
     search_embeddings,
 )
@@ -109,6 +124,59 @@ def _distance_dfs(DT, DS, prefix, future, out) -> int:
     return nodes
 
 
+def _distance_masks(DT: np.ndarray, dmax: int) -> list[list[int]]:
+    """masks[v][d]: the bitset (a Python int) of the targets w with DT[v, w] == d."""
+    per_d = [[int.from_bytes(row.tobytes(), "little")
+              for row in np.packbits(DT == d, axis=1, bitorder="little")]
+             for d in range(dmax + 1)]
+    return [list(row) for row in zip(*per_d)]
+
+
+def _bitset_dfs(masks, DS, prefix, out) -> int:
+    """The recursive bitset census: candidates in ascending order, one
+    Python-int domain per unassigned maximal, node count = every
+    candidate tried on every level."""
+    T = len(DS)
+    t0 = len(prefix)
+    if t0 == T:
+        out.append(tuple(prefix))
+        return 0
+    domains = []
+    for t in range(t0, T):
+        dom = (1 << len(masks)) - 1
+        for s, v in enumerate(prefix):
+            dom &= masks[v][DS[s][t]]
+        domains.append(dom)
+    pick = [itemgetter(*DS[t][t + 1:], 0) for t in range(T - 1)]
+    nodes = 0
+    assign = list(prefix)
+
+    def rec(t, doms):
+        nonlocal nodes
+        cand, rest = doms[0], doms[1:]
+        nodes += cand.bit_count()
+        if t == T - 1:
+            while cand:
+                low = cand & -cand
+                out.append((*assign, low.bit_length() - 1))
+                cand ^= low
+            return
+        get = pick[t]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            nxt = list(map(and_, rest, get(masks[v])))
+            if 0 in nxt:
+                continue
+            assign.append(v)
+            rec(t + 1, nxt)
+            assign.pop()
+
+    rec(t0, domains)
+    return nodes
+
+
 def old_search(ps, n, k, anchor):
     """(index tuples, node count, anchored) of the former serial census."""
     target = grassmann_graph_cached(ps.field, n, k)
@@ -151,7 +219,7 @@ def test_prefixes_with_empty_later_domains_are_still_searched():
     ps = polar_space("W(3,2)", 4)
     DT = grassmann_graph_cached(GF2, 4, 2).distance_matrix
     DS = ps.source_distance_matrix()
-    masks = _distance_masks(DT, int(DS.max()))
+    table = _distance_words(DT, int(DS.max()))
     rng = np.random.default_rng(5)
     empty_start = []
     for size in (2, 3, 4, 5, 6):
@@ -161,9 +229,92 @@ def test_prefixes_with_empty_later_domains_are_still_searched():
             want = []
             want_nodes = _distance_dfs(DT, DS, prefix, future, want)
             got = []
-            assert _bitset_dfs(masks, DS.tolist(), prefix, got) == want_nodes
+            assert _level_census(table, DS, prefix, got) == want_nodes
             assert got == want
             if future[0].any() and not future.any(axis=1).all():
                 empty_start.append(want_nodes)
     assert empty_start and min(empty_start) > 0
 
+
+
+# -- synthetic tables across word boundaries ---------------------------------------
+
+def synthetic_tables(V, T, seed):
+    """A symmetric V x V target table and a T x T source table, zero on the
+    diagonals and uniform on 1..4 elsewhere: sparse enough that the census
+    reaches the last level with a few thousand tuples."""
+    rng = np.random.default_rng(seed)
+    DT = np.triu(rng.integers(1, 5, size=(V, V)), 1).astype(np.int16)
+    DS = np.triu(rng.integers(1, 5, size=(T, T)), 1).astype(np.int16)
+    return DT + DT.T, DS + DS.T
+
+
+def both_oracles(DT, DS, prefix):
+    want, got = [], []
+    nodes = _bitset_dfs(_distance_masks(DT, int(DS.max())), DS.tolist(), prefix, want)
+    assert _level_census(_distance_words(DT, int(DS.max())), DS, prefix, got) == nodes
+    array = []
+    if len(DT) <= 65:
+        fut = _initial_future(DT, DS, prefix, len(prefix))
+        assert _distance_dfs(DT, DS, prefix, fut, array) == nodes
+        assert array == want
+    return got, want, nodes
+
+
+WORD_SIZES = [1, 63, 64, 65, 128, 129]
+
+
+@pytest.mark.parametrize("budget", [None, 300], ids=["default-budget", "300-bytes"])
+@pytest.mark.parametrize("V", WORD_SIZES)
+def test_level_census_matches_the_bitset_dfs_across_word_boundaries(V, budget, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(embed, "_CENSUS_BLOCK_BYTES", budget)
+    DT, DS = synthetic_tables(V, 5, seed=V)
+    got, want, nodes = both_oracles(DT, DS, [])
+    assert got == want
+    assert nodes >= V
+    if V > 1:
+        # the census reaches the last level and the vertices on either
+        # side of a word boundary
+        assert want and {v for t in want for v in t} >= {0, V - 1}
+    assert all(type(v) is int for t in got for v in t)
+
+
+@pytest.mark.parametrize("budget", [None, 300], ids=["default-budget", "300-bytes"])
+@pytest.mark.parametrize("V", WORD_SIZES[1:])
+def test_random_prefixes_match_the_bitset_dfs(V, budget, monkeypatch):
+    """Pinned prefixes of one to four vertices, repeats allowed, including
+    ones whose later domains start empty: the first open maximal's
+    candidates are still tried and counted."""
+    if budget is not None:
+        monkeypatch.setattr(embed, "_CENSUS_BLOCK_BYTES", budget)
+    DT, DS = synthetic_tables(V, 6, seed=100 + V)
+    rng = np.random.default_rng(V)
+    table = _distance_words(DT, int(DS.max()))
+    empty_start = 0
+    for size in (1, 2, 3, 4, 6):
+        for _ in range(12):
+            prefix = rng.integers(0, V, size=size).tolist()
+            got, want, nodes = both_oracles(DT, DS, prefix)
+            assert got == want
+            if size < 6:
+                future = _initial_future(DT, DS, prefix, size)
+                if future[0].any() and not future.any(axis=1).all():
+                    empty_start += 1
+                    assert nodes == int(future[0].sum())
+                    assert not want
+            else:
+                assert (got, nodes) == ([tuple(prefix)], 0)
+    assert empty_start
+    assert _level_census(table, DS, list(range(min(V, 6))), []) == 0
+
+
+def test_word_table_layout():
+    """Bit w % 64 of word w // 64 in row [v, d] is DT[v, w] == d, padding clear."""
+    for V in WORD_SIZES:
+        DT, _ = synthetic_tables(V, 2, seed=V)
+        table = _distance_words(DT, 4)
+        assert table.shape == (V, 5, -(-V // 64)) and table.dtype == np.dtype("<u8")
+        bits = np.unpackbits(table.view(np.uint8), axis=2, bitorder="little")
+        assert (bits[:, :, :V] == (DT[:, None, :] == np.arange(5)[:, None])).all()
+        assert not bits[:, :, V:].any()

@@ -427,7 +427,7 @@ def test_search_k_equals_m_census(w32_in_4):
     res = search_embeddings(ps, 4, 2, anchor=True)
     assert len(res.embeddings) == 576
     canonical = canonical_embedding(ps, 2)
-    assert any(e._key == canonical._key for e in res.embeddings)
+    assert any(e.key == canonical.key for e in res.embeddings)
     report = classify_embeddings(res.embeddings)
     assert report["equivalence_classes"] == 1
     assert report["classes"][0]["size"] == 576
@@ -512,7 +512,7 @@ def test_micro_star_family_members_pass_pipeline(w32_in_5, micro_census):
 def test_embedding_json_roundtrip(w32_in_5):
     e = canonical_embedding(w32_in_5, 3)
     rebuilt = embedding_from_json_obj(w32_in_5, 3, e.as_json_obj())
-    assert rebuilt._key == e._key
+    assert rebuilt.key == e.key
 
 
 def test_embedding_json_repeated_entry_rejected(w32_in_5):
