@@ -185,7 +185,7 @@ def _cmd_field(args) -> int:
 def _cmd_grassmann(args, cap: int) -> int:
     fieldq = _config_phase(
         lambda: field_from_config(load_json(args.field), cap=args.field_cap))
-    g = GrassmannGraph(fieldq, args.n, args.k, workers=args.workers, cap=cap)
+    g = GrassmannGraph(fieldq, args.n, args.k, cap=cap)
     count = gaussian_binomial(args.n, args.k, fieldq.q)
     summary = {
         "ordering_version": ORDERING_VERSION,
@@ -205,8 +205,7 @@ def _cmd_grassmann(args, cap: int) -> int:
         print("intersection numbers:",
               {i: v for i, v in table.items()})
     if args.duality_check:
-        g_dual = GrassmannGraph(fieldq, args.n, args.n - args.k,
-                                workers=args.workers, cap=cap)
+        g_dual = GrassmannGraph(fieldq, args.n, args.n - args.k, cap=cap)
         perm = duality_permutation(g, g_dual)
         ok = all(
             sorted(int(perm[v]) for v in g.adj[i]) == list(g_dual.adj[perm[i]])
@@ -297,10 +296,10 @@ def _cmd_embed(args, cap: int) -> int:
     out_obj.update({
         "anchored": result.anchored,
         "anchor_index": result.anchor_index,
-        "count": len(result.embeddings),
-        "embeddings": [list(t) for t in result.index_tuples],
+        "count": len(result.members),
+        "embeddings": result.members.tolist(),
     })
-    print(f"search: {len(result.embeddings)} isometric embeddings "
+    print(f"search: {len(result.members)} isometric embeddings "
           f"({'anchored' if result.anchored else 'full census'}, "
           f"{result.nodes} nodes)")
 

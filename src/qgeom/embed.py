@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -52,6 +53,7 @@ from .errors import (
 from .gf import Field
 from .grassmann import (
     DISTANCE_CACHE_CAP,
+    GrassmannGraph,
     _pack_rows,
     _unpack_rows,
     gaussian_binomial,
@@ -63,6 +65,7 @@ from .subspace import (
     QuotientSpace,
     Subspace,
     annihilators,
+    field_entries,
     reduce_rows_against,
     invert_matrix,
     mat_frobenius,
@@ -84,6 +87,8 @@ BFS_CROSSCHECK_CAP = 400
 DEFAULT_WITNESS_BUDGET = 10_000
 # byte budget of one chunk of census children (their domains and indices)
 _CENSUS_BLOCK_BYTES = 1 << 20
+# byte budget of the census members one search may hold (256 MiB)
+_CENSUS_MEMBER_BYTES = 1 << 28
 _NO_META = MappingProxyType({})
 
 
@@ -164,14 +169,13 @@ def embedding_from_json_obj(ps: PolarSpace, target_k: int, obj,
     images: list[Subspace | None] = [None] * len(ps.maximals)
     for entry in obj:
         i = int(entry["source_index"])
-        M = Subspace.span(fieldq, np.array(entry["source_basis"], dtype=np.uint8))
+        M = Subspace.span(fieldq, field_entries(fieldq, entry["source_basis"]))
         if not (0 <= i < len(ps.maximals)) or ps.maximals[i] != M:
             raise DimensionMismatch(
                 f"entry {i} does not match the polar space's maximal list")
         if images[i] is not None:
             raise DimensionMismatch(f"entry {i} appears more than once")
-        images[i] = Subspace.span(
-            fieldq, np.array(entry["image_basis"], dtype=np.uint8), n)
+        images[i] = Subspace.span(fieldq, field_entries(fieldq, entry["image_basis"]), n)
     if any(img is None for img in images):
         raise DimensionMismatch("embedding table is not total")
     return Embedding(ps, target_k, images, target_n=n)
@@ -509,19 +513,39 @@ def analyze_embedding(e: Embedding) -> StructureReport:
 
 # -- exhaustive search ---------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class SearchResult:
-    embeddings: list[Embedding]
-    anchored: bool
+    """What :func:`search_embeddings` computed.
+
+    ``members`` is one read-only (N, t) intp array: row i holds, for each
+    maximal of ``source`` in order, the index of its image among
+    ``target.vertices``, and the rows are in lexicographic order.
+    ``anchor_index`` is the pinned image of the first maximal (None for
+    a full census) and ``nodes`` the search's node count.  ``embeddings``
+    is built from the rows on first read and kept, so every read returns
+    the same objects.
+    """
+
+    source: PolarSpace
+    target: GrassmannGraph
+    members: np.ndarray
     anchor_index: int | None
     nodes: int
-    index_tuples: list[tuple[int, ...]] = dc_field(default_factory=list)
+
+    @property
+    def anchored(self) -> bool:
+        return self.anchor_index is not None
+
+    @cached_property
+    def embeddings(self) -> list[Embedding]:
+        verts, k, M = self.target.vertices, self.target.k, self.members
+        # rows become Python lists one block at a time, never all at once
+        step = max(1, _CENSUS_BLOCK_BYTES // (8 * M.shape[1]))
+        return [Embedding(self.source, k, map(verts.__getitem__, row))
+                for a in range(0, len(M), step) for row in M[a:a + step].tolist()]
 
     def __len__(self) -> int:
-        return len(self.embeddings)
-
-    def __iter__(self):
-        return iter(self.embeddings)
+        return len(self.members)
 
 
 def _distance_words(DT: np.ndarray, dmax: int) -> np.ndarray:
@@ -531,7 +555,7 @@ def _distance_words(DT: np.ndarray, dmax: int) -> np.ndarray:
     return _pack_rows(DT[:, None, :] == np.arange(dmax + 1, dtype=DT.dtype)[:, None])
 
 
-def _level_census(table: np.ndarray, DS: np.ndarray, prefix, out) -> int:
+def _level_census(table: np.ndarray, DS: np.ndarray, prefix) -> tuple[np.ndarray, int]:
     """Backtracking census, expanded one level at a time over word domains.
 
     Each open maximal's domain of still-possible targets is W uint64
@@ -541,21 +565,25 @@ def _level_census(table: np.ndarray, DS: np.ndarray, prefix, out) -> int:
     vertex narrows the remaining domains, and children with an empty
     domain are dropped.  Children are made in chunks under
     ``_CENSUS_BLOCK_BYTES`` and each chunk is finished depth-first before
-    the next, so memory is O(depth x block).  Full index tuples are
-    appended to out one block at a time, in lexicographic order.
-    Returns the node count: the popcount of the first open domain of
-    every visited assignment, summed over all levels.
+    the next, so memory is O(depth x block) besides the members.  Returns
+    the members, one read-only (N, T) intp array whose rows (full
+    assignments) are in lexicographic order, and the node count: the
+    popcount of the first open domain of every visited assignment, summed
+    over all levels.  Raises TooLarge as soon as the members pass
+    ``_CENSUS_MEMBER_BYTES``.
     """
     T = len(DS)
     t0 = len(prefix)
+    start = np.array([prefix], dtype=np.intp).reshape(1, t0)
     if t0 == T:
-        out.append(tuple(prefix))
-        return 0
+        start.setflags(write=False)
+        return start, 0
     V, W = len(table), table.shape[2]
     dom = _pack_rows(np.ones((T - t0, V), dtype=bool))
     for s, v in enumerate(prefix):
         dom &= table[v, DS[s, t0:]]
-    nodes = 0
+    leaves: list[np.ndarray] = []
+    nodes = held = 0
 
     def children(t, assign, doms, r, c):
         """The live children (paths, domains) of the pairs (row r, vertex c)."""
@@ -574,7 +602,7 @@ def _level_census(table: np.ndarray, DS: np.ndarray, prefix, out) -> int:
 
     def expand(t, assign, doms):
         """Yield the child blocks of the block (assign, doms) at level t."""
-        nonlocal nodes
+        nonlocal nodes, held
         rest = T - t - 1
         # pairs per chunk: each child holds rest domains and t + 1 indices
         chunk = max(1, _CENSUS_BLOCK_BYTES // (8 * (rest * W + t + 1)))
@@ -593,21 +621,25 @@ def _level_census(table: np.ndarray, DS: np.ndarray, prefix, out) -> int:
                 if rest:
                     yield (t + 1, *children(t, assign, doms, r, c))
                 else:
-                    out.extend(map(tuple, np.column_stack([assign[r], c]).tolist()))
+                    leaves.append(np.column_stack([assign[r], c]))
+                    held += leaves[-1].nbytes
+                    if held > _CENSUS_MEMBER_BYTES:
+                        raise TooLarge(f"census members pass {_CENSUS_MEMBER_BYTES} bytes")
 
-    stack = [expand(t0, np.array([prefix], dtype=np.intp).reshape(1, t0), dom[None])]
+    stack = [expand(t0, start, dom[None])]
     while stack:
         block = next(stack[-1], None)
         if block is None:
             stack.pop()
         else:
             stack.append(expand(*block))
-    return nodes
+    members = np.concatenate(leaves) if leaves else np.empty((0, T), dtype=np.intp)
+    members.setflags(write=False)
+    return members, nodes
 
 
 def search_embeddings(ps: PolarSpace, n: int, k: int, anchor: bool = True,
-                      workers: int = 1,
-                      cap: int = DISTANCE_CACHE_CAP) -> SearchResult:
+                      workers: int = 1) -> SearchResult:
     """Enumerate isometric embeddings by distance-pruned backtracking.
 
     Images are assigned to maximals in the canonical order; a partial
@@ -617,18 +649,22 @@ def search_embeddings(ps: PolarSpace, n: int, k: int, anchor: bool = True,
     equivalence classes because the Grassmann graph is vertex-transitive
     under invertible linear maps.  The search is :func:`_level_census`:
     domains of uint64 words from the target's distance matrix, expanded
-    level by level in blocks under a fixed byte budget.  Results come
-    back in lexicographic index order, and ``nodes`` counts every
-    candidate tried on every level.  The search runs in this process;
+    level by level in blocks under a fixed byte budget.  The result
+    holds the members as one (N, t) array of target vertex indices, rows
+    in lexicographic order, and builds ``Embedding`` objects only when
+    ``embeddings`` is read; ``nodes`` counts every candidate tried on
+    every level.  Raises TooLarge when the target has more than
+    ``DISTANCE_CACHE_CAP`` vertices or the members pass
+    ``_CENSUS_MEMBER_BYTES``.  The search runs in this process;
     ``workers`` is accepted for compatibility and changes nothing,
-    neither the tuples nor the node count.
+    neither the members nor the node count.
     """
     if n != ps.ambient_dim:
         raise AmbientMismatch(
             f"polar space lives in dimension {ps.ambient_dim}, not {n}")
     if k < ps.rank:
         raise RankTooSmall(f"k = {k} below the polar rank m = {ps.rank}")
-    if gaussian_binomial(n, k, ps.field.q) > cap:
+    if gaussian_binomial(n, k, ps.field.q) > DISTANCE_CACHE_CAP:
         raise TooLarge("target Grassmann graph exceeds the distance cache cap")
 
     target = grassmann_graph_cached(ps.field, n, k)
@@ -636,21 +672,17 @@ def search_embeddings(ps: PolarSpace, n: int, k: int, anchor: bool = True,
     DS = ps.certified_distances
 
     anchor_index = None
-    prefix: list[int] = []
     if anchor:
         try:
             anchor_index = target.index_of(canonical_embedding(ps, k).images[0])
-            prefix = [anchor_index]
         except NoValidU:
             # no canonical anchor exists; fall back to the full census,
             # which will simply come back empty if no embedding exists
             pass
 
-    tuples: list[tuple[int, ...]] = []
-    nodes = _level_census(_distance_words(DT, int(DS.max())), DS, prefix, tuples)
-
-    embeddings = [Embedding(ps, k, [target.vertices[v] for v in tup]) for tup in tuples]
-    return SearchResult(embeddings, bool(prefix), anchor_index, nodes, tuples)
+    prefix = [] if anchor_index is None else [anchor_index]
+    members, nodes = _level_census(_distance_words(DT, int(DS.max())), DS, prefix)
+    return SearchResult(ps, target, members, anchor_index, nodes)
 
 
 # -- equivalence witnesses -------------------------------------------------------------

@@ -345,12 +345,9 @@ def intersection_numbers(g: FiniteGraph) -> dict[int, tuple[int, int, int]]:
 # -- Grassmann graphs ---------------------------------------------------------------
 
 class GrassmannGraph(FiniteGraph):
-    """The graph on all k-dim subspaces of GF(q)^n, adjacency = meeting in dim k-1.
+    """The graph on all k-dim subspaces of GF(q)^n, adjacency = meeting in dim k-1."""
 
-    ``workers`` is kept for API compatibility; the adjacency no longer fans out."""
-
-    def __init__(self, field: Field, n: int, k: int, workers: int = 1,
-                 cap: int = DEFAULT_ENUM_CAP):
+    def __init__(self, field: Field, n: int, k: int, cap: int = DEFAULT_ENUM_CAP):
         if not (1 < k < n - 1):
             warnings.warn(
                 f"Gamma_{k}(GF({field.q})^{n}) is complete or trivial for k={k}; "

@@ -44,6 +44,7 @@ from .subspace import (
     _PAIR_BLOCK_BYTES,
     Subspace,
     as_matrix,
+    field_entries,
     mat_mul,
     nullspace,
     pair_rank_stack,
@@ -89,7 +90,7 @@ class Form:
         if kind == "quadratic":
             if quad is None:
                 raise KindMismatch("quadratic form needs quad coefficients")
-            Qm = as_matrix(field, quad)
+            Qm = as_matrix(field, field_entries(field, quad))
             if Qm.shape != (form_dim, form_dim):
                 raise AmbientMismatch(f"quad shape {Qm.shape} vs form_dim {form_dim}")
             if any(Qm[i, j] for i in range(form_dim) for j in range(i)):
@@ -104,7 +105,7 @@ class Form:
         else:
             if gram is None:
                 raise KindMismatch(f"{kind} form needs a gram matrix")
-            G = as_matrix(field, gram)
+            G = as_matrix(field, field_entries(field, gram))
             if G.shape != (form_dim, form_dim):
                 raise AmbientMismatch(f"gram shape {G.shape} vs form_dim {form_dim}")
             if kind == "alternating":

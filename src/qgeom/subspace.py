@@ -33,10 +33,31 @@ _PAIR_BLOCK_BYTES = 1 << 22
 
 # -- raw matrix machinery -----------------------------------------------------
 
+def _beyond_uint8(field: Field, data) -> ValueError:
+    """The error for data whose conversion to uint8 overflowed (numpy 2
+    raises OverflowError for an integer outside 0..255)."""
+    bad = next(x for x in np.asarray(data, dtype=object).flat if not 0 <= x < 256)
+    return ValueError(f"entry {bad} out of range for {field}")
+
+
+def field_entries(field: Field, data) -> np.ndarray:
+    """Entries read from a config (nested lists) as a uint8 array.  Each
+    must be an integer in 0..q-1; a float, string or bool is rejected,
+    never truncated or parsed."""
+    A = np.asarray(data, dtype=object)
+    for x in A.flat:
+        if not ((type(x) is int or isinstance(x, np.integer)) and 0 <= x < field.q):
+            raise ValueError(f"entry {x!r} out of range for {field}")
+    return A.astype(np.uint8)
+
+
 def as_stack(field: Field, data) -> np.ndarray:
     """Coerce to a uint8 matrix, or a stack of matrices along leading axes
     (a vector is one row), and range-check entries."""
-    A = np.asarray(data, dtype=np.uint8)
+    try:
+        A = np.asarray(data, dtype=np.uint8)
+    except OverflowError:
+        raise _beyond_uint8(field, data) from None
     if A.ndim == 1:
         A = A.reshape(1, -1)
     if A.ndim < 2:
@@ -378,7 +399,10 @@ class Subspace:
     @classmethod
     def span(cls, field: Field, vectors, ambient_dim: int | None = None) -> "Subspace":
         """Canonical subspace spanned by the given row vectors."""
-        A = np.asarray(vectors, dtype=np.uint8)
+        try:
+            A = np.asarray(vectors, dtype=np.uint8)
+        except OverflowError:
+            raise _beyond_uint8(field, vectors) from None
         if A.ndim == 1:
             A = A.reshape(1, -1)
         if A.size == 0:

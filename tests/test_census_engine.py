@@ -1,9 +1,10 @@
 """Differential tests of the level census against two former engines.
 
 ``search_embeddings`` expands whole blocks of partial assignments one
-level at a time over uint64 word domains (``_level_census``).  Two
-earlier engines are kept here as oracles, and the level census must
-return the same index tuples, in the same order, and the same node count:
+level at a time over uint64 word domains (``_level_census``) and returns
+its members as one read-only (N, t) intp array.  Two earlier engines are
+kept here as oracles, and the rows of that array must be their index
+tuples, in the same order, with the same node count:
 
 * ``_distance_dfs``, the first census: one (T - t) x N boolean future
   table per node, narrowed by comparing distance-matrix rows;
@@ -26,6 +27,11 @@ anchored; 747,684 nodes) is checked despite the cap.  Over the cap and
 left out: W(3,2) in GF(2)^5 with k = 2 and Q(4,2) in GF(2)^5 with k = 2
 and k = 3, anchored (747,684 nodes each), and the unanchored census of
 both in GF(2)^5 for k = 2 and k = 3 (about 155 times an anchored one).
+
+The search result stores the members, the target, the anchor and the
+node count; ``embeddings`` is built from the rows once, on first read.
+The members held are bounded by ``_CENSUS_MEMBER_BYTES``, and a census
+past it raises TooLarge as soon as the bound is crossed.
 """
 
 import functools
@@ -41,7 +47,7 @@ from qgeom.embed import (
     canonical_embedding,
     search_embeddings,
 )
-from qgeom.errors import NoValidU
+from qgeom.errors import NoValidU, TooLarge
 from qgeom.gf import Field
 from qgeom.grassmann import grassmann_graph_cached
 from qgeom.polar import Form, build_polar_space
@@ -81,6 +87,11 @@ KNOWN = {("W(3,2)", 4, 2, False): (20160, 293615),  # the benchmark's full censu
 def polar_space(name, n):
     field, form = FORMS[name]
     return build_polar_space(field, n, form)
+
+
+def rows(members):
+    """The member array as the list of index tuples the oracles return."""
+    return list(map(tuple, members.tolist()))
 
 
 # -- the former census, kept as the oracle ------------------------------------------
@@ -203,7 +214,7 @@ def test_bitset_census_matches_the_array_dfs(name, n, k, anchor):
     res = search_embeddings(ps, n, k, anchor=anchor)
     tuples, nodes, anchored = old_search(ps, n, k, anchor)
     assert res.anchored == anchored
-    assert res.index_tuples == tuples
+    assert rows(res.members) == tuples
     assert res.nodes == nodes
     vertices = grassmann_graph_cached(ps.field, n, k).vertices
     assert [e.images for e in res.embeddings] == [
@@ -228,9 +239,9 @@ def test_prefixes_with_empty_later_domains_are_still_searched():
             future = _initial_future(DT, DS, prefix, size)
             want = []
             want_nodes = _distance_dfs(DT, DS, prefix, future, want)
-            got = []
-            assert _level_census(table, DS, prefix, got) == want_nodes
-            assert got == want
+            members, nodes = _level_census(table, DS, prefix)
+            assert nodes == want_nodes
+            assert rows(members) == want
             if future[0].any() and not future.any(axis=1).all():
                 empty_start.append(want_nodes)
     assert empty_start and min(empty_start) > 0
@@ -250,9 +261,13 @@ def synthetic_tables(V, T, seed):
 
 
 def both_oracles(DT, DS, prefix):
-    want, got = [], []
+    want = []
     nodes = _bitset_dfs(_distance_masks(DT, int(DS.max())), DS.tolist(), prefix, want)
-    assert _level_census(_distance_words(DT, int(DS.max())), DS, prefix, got) == nodes
+    members, level_nodes = _level_census(_distance_words(DT, int(DS.max())), DS, prefix)
+    assert level_nodes == nodes
+    assert members.dtype == np.intp and members.shape == (len(want), len(DS))
+    assert not members.flags.writeable
+    got = rows(members)
     array = []
     if len(DT) <= 65:
         fut = _initial_future(DT, DS, prefix, len(prefix))
@@ -277,7 +292,6 @@ def test_level_census_matches_the_bitset_dfs_across_word_boundaries(V, budget, m
         # the census reaches the last level and the vertices on either
         # side of a word boundary
         assert want and {v for t in want for v in t} >= {0, V - 1}
-    assert all(type(v) is int for t in got for v in t)
 
 
 @pytest.mark.parametrize("budget", [None, 300], ids=["default-budget", "300-bytes"])
@@ -306,7 +320,8 @@ def test_random_prefixes_match_the_bitset_dfs(V, budget, monkeypatch):
             else:
                 assert (got, nodes) == ([tuple(prefix)], 0)
     assert empty_start
-    assert _level_census(table, DS, list(range(min(V, 6))), []) == 0
+    members, nodes = _level_census(table, DS, list(range(min(V, 6))))
+    assert (rows(members), nodes) == ([tuple(range(min(V, 6)))], 0)
 
 
 def test_word_table_layout():
@@ -318,3 +333,66 @@ def test_word_table_layout():
         bits = np.unpackbits(table.view(np.uint8), axis=2, bitorder="little")
         assert (bits[:, :, :V] == (DT[:, None, :] == np.arange(5)[:, None])).all()
         assert not bits[:, :, V:].any()
+
+
+# -- the search result -----------------------------------------------------------------
+
+def test_search_result_stores_members_and_builds_embeddings_once():
+    """The result stores one read-only member array; ``embeddings`` is built
+    from its rows on first read and the same list is returned after."""
+    ps = polar_space("W(3,2)", 4)
+    res = search_embeddings(ps, 4, 2, anchor=True)
+    assert set(vars(res)) == {"source", "target", "members", "anchor_index", "nodes"}
+    assert res.members.dtype == np.intp and res.members.shape == (576, len(ps.maximals))
+    assert not res.members.flags.writeable
+    assert res.anchored and res.anchored == (res.anchor_index is not None)
+    assert len(res) == 576
+    assert "embeddings" not in vars(res)
+    embeddings = res.embeddings
+    assert res.embeddings is embeddings
+    assert [e.images for e in embeddings] == [
+        tuple(res.target.vertices[v] for v in row) for row in res.members.tolist()]
+    assert all(e.source is ps and e.target_k == 2 for e in embeddings)
+    full = search_embeddings(ps, 4, 2, anchor=False)
+    assert not full.anchored and full.anchor_index is None
+    assert res != full and res == res
+    assert not hasattr(res, "index_tuples")
+
+
+@pytest.mark.parametrize("slack,raises", [(0, False), (-1, True)])
+def test_members_past_the_byte_budget_raise_too_large(slack, raises, monkeypatch):
+    """The census holds at most ``_CENSUS_MEMBER_BYTES`` of members: the
+    576 x 15 intp members of W(3,2) in Gamma_2(GF(2)^4) fit a budget of
+    their own size and not one byte less."""
+    ps = polar_space("W(3,2)", 4)
+    size = 576 * len(ps.maximals) * np.dtype(np.intp).itemsize
+    monkeypatch.setattr(embed, "_CENSUS_MEMBER_BYTES", size + slack)
+    if raises:
+        with pytest.raises(TooLarge, match="census members pass"):
+            search_embeddings(ps, 4, 2, anchor=True)
+    else:
+        assert search_embeddings(ps, 4, 2, anchor=True).members.nbytes == size
+
+
+def test_the_member_budget_stops_the_search_early(monkeypatch):
+    """With a budget below the first block of members, the search stops at
+    that block instead of finishing the census."""
+    ps = polar_space("W(3,2)", 4)
+    DT = grassmann_graph_cached(GF2, 4, 2).distance_matrix
+    DS = ps.certified_distances
+    table = _distance_words(DT, int(DS.max()))
+    visited = []
+    real = embed._unpack_rows
+
+    def counting(words, V):
+        visited.append(len(words))
+        return real(words, V)
+
+    monkeypatch.setattr(embed, "_unpack_rows", counting)
+    _level_census(table, DS, [])
+    full = len(visited)
+    visited.clear()
+    monkeypatch.setattr(embed, "_CENSUS_MEMBER_BYTES", 0)
+    with pytest.raises(TooLarge):
+        _level_census(table, DS, [])
+    assert 0 < len(visited) < full

@@ -265,6 +265,54 @@ def test_embed_search_and_classify_small(tmp_path):
     assert obj["classification"]["equivalence_classes"] == 1
 
 
+def test_witness_budget_exhausted_exits_3(capsys):
+    assert run(["embed", "classify", "--polar", cfg("w32.json"), "--n", "4",
+                "--k", "2", "--budget", "0"]) == 3
+    assert capsys.readouterr().err == "budget exceeded: witness search passed 0 candidates\n"
+
+
+def test_census_member_budget_is_a_violation(monkeypatch, capsys):
+    import qgeom.embed as embed
+
+    monkeypatch.setattr(embed, "_CENSUS_MEMBER_BYTES", 1000)
+    assert run(["embed", "search", "--polar", cfg("w32.json"), "--n", "4", "--k", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "violation: census members pass 1000 bytes\n"
+
+
+BAD_ENTRIES = [300, -1, 1.5]
+
+
+@pytest.mark.parametrize("value", BAD_ENTRIES)
+def test_bad_gram_entry_is_a_config_error(value, tmp_path, capsys):
+    """An entry outside 0..q-1 or not an integer is one config error line,
+    not a traceback and not a truncated value."""
+    obj = json.loads(read(cfg("w32.json")))
+    obj["form"]["gram"][0][1] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert run(["polar", "--polar", str(bad), "--n", "4"]) == 65
+    assert capsys.readouterr().err == f"config error: entry {value!r} out of range for GF(2)\n"
+
+
+@pytest.mark.parametrize("value", BAD_ENTRIES)
+def test_bad_embedding_entry_is_a_config_error(value, tmp_path, capsys):
+    table = tmp_path / "canonical.json"
+    assert run(["embed", "canonical", "--polar", cfg("w32.json"),
+                "--n", "5", "--k", "3", "--out", str(table)]) == 0
+    rows = json.loads(table.read_text())["table"]
+    rows[0]["image_basis"][0][0] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(rows))
+    capsys.readouterr()
+    assert run(["embed", "verify", "--polar", cfg("w32.json"), "--n", "5",
+                "--k", "3", "--embedding", str(bad)]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: entry {value!r} out of range for GF(2)\n"
+
+
 def test_embed_search_output(tmp_path):
     out = tmp_path / "search.json"
     assert run(["embed", "search", "--polar", cfg("q42.json"),

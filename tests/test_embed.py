@@ -391,7 +391,7 @@ def test_search_workers_deterministic(w32_in_4):
     ps = build_polar_space(GF2, 4, Form(GF2, "quadratic", 2, quad=[[0, 1], [0, 0]]))
     r1 = search_embeddings(ps, 4, 2, anchor=True, workers=1)
     r2 = search_embeddings(ps, 4, 2, anchor=True, workers=3)
-    assert r1.index_tuples == r2.index_tuples
+    assert np.array_equal(r1.members, r2.members)
     assert r1.nodes == r2.nodes
 
 
@@ -520,3 +520,14 @@ def test_embedding_json_repeated_entry_rejected(w32_in_5):
     twice = table + [dict(table[0], image_basis=table[1]["image_basis"])]
     with pytest.raises(DimensionMismatch, match="entry 0 appears more than once"):
         embedding_from_json_obj(w32_in_5, 3, twice)
+
+
+@pytest.mark.parametrize("key", ["source_basis", "image_basis"])
+@pytest.mark.parametrize("value", [300, -1, 1.5, "1"])
+def test_embedding_json_entries_must_be_field_elements(w32_in_5, key, value):
+    """An entry outside 0..q-1, or not an integer, is a ValueError rather
+    than an OverflowError or a silently truncated value."""
+    table = canonical_embedding(w32_in_5, 3).as_json_obj()
+    table[2][key][0][1] = value
+    with pytest.raises(ValueError, match=f"^entry {value!r} out of range for GF\\(2\\)$"):
+        embedding_from_json_obj(w32_in_5, 3, table)

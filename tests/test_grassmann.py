@@ -255,13 +255,6 @@ def test_adjacency_symmetric_irreflexive():
             assert i in set(int(x) for x in g.adj[int(j)])
 
 
-def test_workers_give_identical_graph():
-    g1 = GrassmannGraph(GF2, 4, 2, workers=1)
-    g2 = GrassmannGraph(GF2, 4, 2, workers=2)
-    assert g1.vertices == g2.vertices
-    assert all(np.array_equal(a, b) for a, b in zip(g1.adj, g2.adj))
-
-
 def test_vertex_count_is_gaussian_binomial():
     for f, n, k in [(GF2, 4, 2), (GF3, 4, 2), (GF4, 3, 2)]:
         with warnings.catch_warnings():

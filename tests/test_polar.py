@@ -324,3 +324,15 @@ def test_points_pad_to_ambient():
     assert all(p.ambient_dim == 5 for p in ps.points)
     assert all(m.ambient_dim == 5 for m in ps.maximals)
     assert ps.v_prime.dim == 4
+
+
+@pytest.mark.parametrize("value", [300, -1, 1.5, "1", True])
+@pytest.mark.parametrize("kind", ["alternating", "quadratic"])
+def test_form_entries_must_be_field_elements(kind, value):
+    """Gram and quad entries outside 0..q-1, or not integers, are rejected
+    with a ValueError, never wrapped, truncated or parsed."""
+    rows = [row[:] for row in SYMPLECTIC_GRAM]
+    rows[0][1] = value
+    spec = {"gram": rows} if kind == "alternating" else {"quad": rows}
+    with pytest.raises(ValueError, match=f"^entry {value!r} out of range for GF\\(2\\)$"):
+        Form(GF2, kind, 4, **spec)

@@ -82,6 +82,15 @@ def test_rank_gf2_fast_path_range_check():
     assert str(from_rank.value) == str(from_rref.value) == "entry 2 out of range for GF(2)"
 
 
+@pytest.mark.parametrize("value", [300, -1])
+def test_entries_beyond_uint8_are_out_of_range(value):
+    """numpy raises OverflowError for a Python int outside uint8; the
+    coercion reports it as the usual out-of-range ValueError."""
+    for make in (lambda A: rank(GF2, A), lambda A: Subspace.span(GF2, A)):
+        with pytest.raises(ValueError, match=f"^entry {value} out of range for GF\\(2\\)$"):
+            make([[1, 0], [0, value]])
+
+
 def test_span_canonical_across_generating_sets():
     """Random regenerations of one subspace all share one encoding."""
     rng = np.random.default_rng(3)

@@ -23,7 +23,7 @@ from qgeom.embed import (
     connecting_automorphism,
     search_embeddings,
 )
-from qgeom.errors import DimensionMismatch, QGeomError
+from qgeom.errors import DimensionMismatch, QGeomError, SearchBudgetExceeded
 from qgeom.gf import Field
 from qgeom.polar import Form, build_polar_space
 from qgeom.subspace import (
@@ -382,3 +382,16 @@ def test_classify_anchored_census_digest(spaces):
                             for e in res.embeddings).encode())
     assert (len(res), cl["equivalence_classes"]) == (576, 1)
     assert h.hexdigest() == CLASSIFY_DIGEST
+
+
+def test_witness_search_stops_at_its_budget(spaces):
+    """With budget 0 the witness search to a fresh census member tries no
+    candidate: SearchBudgetExceeded, and nothing is memoized, so the
+    default budget then finds the witness."""
+    ps = spaces[("W(3,2)", 4)]
+    f0 = canonical_embedding(ps, 2)
+    e = next(e for e in search_embeddings(ps, 4, 2).embeddings if e.key != f0.key)
+    with pytest.raises(SearchBudgetExceeded, match="^witness search passed 0 candidates$"):
+        connecting_automorphism(f0, e, budget=0)
+    assert e._base_witness is None
+    assert connecting_automorphism(f0, e).verify_on(f0, e)
