@@ -586,15 +586,16 @@ def _level_census(table: np.ndarray, DS: np.ndarray, prefix) -> tuple[np.ndarray
     # list of leaf blocks, interleaved with the search's own blocks, left
     # the heap fragmented (about 1 MB more peak RSS per gf2 benchmark run)
     buf = np.empty((0, T), dtype=np.intp)
+    limit = _CENSUS_MEMBER_BYTES // (T * buf.itemsize)
     nodes = held = 0
 
     def store(rows):
         nonlocal buf, held
         end = held + len(rows)
-        if end * T * buf.itemsize > _CENSUS_MEMBER_BYTES:
+        if end > limit:
             raise TooLarge(f"census members pass {_CENSUS_MEMBER_BYTES} bytes")
         if end > len(buf):
-            grown = np.empty((max(end, 2 * held), T), dtype=np.intp)
+            grown = np.empty((min(max(end, 2 * len(buf)), limit), T), dtype=np.intp)
             grown[:held] = buf[:held]
             buf = grown
         buf[held:end] = rows
