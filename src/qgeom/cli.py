@@ -47,7 +47,6 @@ from .embed import (
 )
 from .ioformats import (
     ORDERING_VERSION,
-    canonical_json,
     field_from_config,
     graph_json_obj,
     load_json,
@@ -55,6 +54,7 @@ from .ioformats import (
     write_bytes,
     write_edge_csv,
     write_graph6,
+    write_json,
     write_text,
 )
 
@@ -161,7 +161,7 @@ def _export_graph(g, exports, extra=None) -> None:
         elif fmt == "csv":
             write_text(path, write_edge_csv(g))
         else:
-            write_text(path, canonical_json(graph_json_obj(g, extra=extra)))
+            write_json(path, graph_json_obj(g, extra=extra))
 
 
 def _cmd_field(args) -> int:
@@ -178,7 +178,7 @@ def _cmd_field(args) -> int:
     print(f"field: GF({fieldq.q}) = GF({fieldq.p}^{fieldq.e}), "
           f"modulus {list(fieldq.modulus)}")
     if args.out:
-        write_text(args.out, canonical_json(summary))
+        write_json(args.out, summary)
     return 0
 
 
@@ -217,7 +217,7 @@ def _cmd_grassmann(args, cap: int) -> int:
         print(f"duality: adjacency-preserving map onto k'={args.n - args.k} verified")
     _export_graph(g, args.export, extra={"q": fieldq.q, "n": args.n, "k": args.k})
     if args.out:
-        write_text(args.out, canonical_json(summary))
+        write_json(args.out, summary)
     return 0
 
 
@@ -242,7 +242,7 @@ def _cmd_polar(args, cap: int) -> int:
         print("intersection numbers:", {i: v for i, v in table.items()})
     _export_graph(g, args.export, extra={"kind": ps.form.kind})
     if args.out:
-        write_text(args.out, canonical_json(summary))
+        write_json(args.out, summary)
     return 0
 
 
@@ -265,7 +265,7 @@ def _cmd_embed(args, cap: int) -> int:
         out_obj["table"] = e.as_json_obj()
         print(f"canonical embedding found; star subspace basis {e.meta['u_basis']}")
         if args.out:
-            write_text(args.out, canonical_json(out_obj))
+            write_json(args.out, out_obj)
         return 0
 
     if args.action in ("verify", "analyze"):
@@ -286,7 +286,7 @@ def _cmd_embed(args, cap: int) -> int:
             print(f"structure: dim U = {sr.star_subspace.dim}, "
                   f"{len(sr.point_map)} point images, lines_ok = {sr.lines_ok}")
         if args.out:
-            write_text(args.out, canonical_json(out_obj))
+            write_json(args.out, out_obj)
         return 0
 
     result = search_embeddings(ps, args.n, args.k, anchor=args.anchor,
@@ -308,11 +308,11 @@ def _cmd_embed(args, cap: int) -> int:
         out_obj["classification"] = report
         print(f"equivalence classes: {report['equivalence_classes']}")
         if args.out:
-            write_text(args.out, canonical_json(out_obj))
+            write_json(args.out, out_obj)
         return 0 if report["equivalence_classes"] <= 1 else 2
 
     if args.out:
-        write_text(args.out, canonical_json(out_obj))
+        write_json(args.out, out_obj)
     return 0
 
 

@@ -64,7 +64,9 @@ from .subspace import (
     _PAIR_BLOCK_BYTES,
     QuotientSpace,
     Subspace,
+    _mat_mul,
     annihilators,
+    as_matrix,
     field_entries,
     reduce_rows_against,
     invert_matrix,
@@ -163,12 +165,16 @@ class Embedding:
 
 def embedding_from_json_obj(ps: PolarSpace, target_k: int, obj,
                             target_n: int | None = None) -> Embedding:
-    """Rebuild an embedding from its JSON table, validating the source side."""
+    """Rebuild an embedding from its JSON table, validating the source side.
+    Each ``source_index`` must be a JSON integer; a float, string or bool
+    is a ValueError, never truncated or parsed."""
     fieldq = ps.field
     n = target_n if target_n is not None else ps.ambient_dim
     images: list[Subspace | None] = [None] * len(ps.maximals)
     for entry in obj:
-        i = int(entry["source_index"])
+        i = entry["source_index"]
+        if type(i) is not int:
+            raise ValueError(f"source_index {i!r} is not an integer")
         M = Subspace.span(fieldq, field_entries(fieldq, entry["source_basis"]))
         if not (0 <= i < len(ps.maximals)) or ps.maximals[i] != M:
             raise DimensionMismatch(
@@ -708,6 +714,12 @@ class EquivalenceWitness:
     optional annihilator-duality factor (only meaningful when n = 2k).
     Witnesses compose and invert exactly, so chains of verified
     witnesses stay trustworthy.
+
+    The matrix is range-checked once, here (``ValueError`` for an entry
+    outside the field), and kept read-only.  :meth:`apply_to_subspace`,
+    :meth:`compose` and :meth:`verify_on` then multiply it with the
+    library's own subspace bases, witness matrices and embedding tables
+    without checking those operands again.
     """
 
     __slots__ = ("field", "matrix", "frob_power", "dual")
@@ -715,7 +727,7 @@ class EquivalenceWitness:
     def __init__(self, field: Field, matrix, frob_power: int = 0,
                  dual: bool = False):
         self.field = field
-        M = np.asarray(matrix, dtype=np.uint8).copy()
+        M = as_matrix(field, matrix).copy()
         M.setflags(write=False)
         self.matrix = M
         self.frob_power = int(frob_power) % field.e
@@ -727,8 +739,8 @@ class EquivalenceWitness:
 
     def apply_to_subspace(self, S: Subspace) -> Subspace:
         B = S.annihilator().basis if self.dual else S.basis
-        rows = mat_mul(self.field, mat_frobenius(self.field, B, self.frob_power),
-                       self.matrix.T)
+        rows = _mat_mul(self.field, mat_frobenius(self.field, B, self.frob_power),
+                        self.matrix.T)
         return Subspace.span(self.field, rows, S.ambient_dim)
 
     def compose(self, other: "EquivalenceWitness") -> "EquivalenceWitness":
@@ -740,7 +752,7 @@ class EquivalenceWitness:
             s1 = other.matrix
         if self.frob_power:
             s1 = mat_frobenius(f, s1, self.frob_power)
-        mat = mat_mul(f, self.matrix, s1)
+        mat = _mat_mul(f, self.matrix, s1)
         return EquivalenceWitness(
             f, mat, self.frob_power + other.frob_power, self.dual ^ other.dual)
 
@@ -766,8 +778,8 @@ class EquivalenceWitness:
             return False
         if self.frob_power:
             B = mat_frobenius(self.field, B, self.frob_power)
-        rows = mat_mul(self.field, B, self.matrix.T)
-        return not mat_mul(self.field, rows, R).any()
+        rows = _mat_mul(self.field, B, self.matrix.T)
+        return not np.count_nonzero(_mat_mul(self.field, rows, R))
 
     def as_json_obj(self) -> dict:
         return {

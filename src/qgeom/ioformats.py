@@ -10,6 +10,7 @@ cross two code paths.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -140,3 +141,14 @@ def write_bytes(path: str, data: bytes) -> None:
 def write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+
+
+def write_json(path: str, obj) -> None:
+    """Write ``canonical_json(obj)`` to path, byte for byte, without
+    building the whole text: the encoder's pieces are joined and written
+    in batches (one write per piece, as ``json.dump`` makes, is slower)."""
+    pieces = json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        while batch := "".join(itertools.islice(pieces, 1 << 14)):
+            fh.write(batch)
+        fh.write("\n")

@@ -13,10 +13,17 @@ each row is one Python int, and one elimination, :func:`_echelon_gf2`,
 backs :func:`rank`, :func:`rref`, :func:`nullspace` and the subspace
 lattice (sum, intersection and its dimension, annihilator, containment,
 :func:`multi_intersection`, :func:`span_dim`).  Each such subspace
-caches its RREF rows packed this way, filled in on first use.  Every
-other field or width takes the table-driven path, which is also the
-packed path's differential oracle in the tests; RREF bases are unique,
-so both give the same bytes.
+caches its RREF rows packed this way, filled in on first use.  The
+stacked kernels (:func:`rref_stack` and the ones built on it) pack each
+row of a stack into one int64 word and eliminate by XOR over the whole
+stack.  Every other field or width takes the table-driven path, which is
+also the packed paths' differential oracle in the tests; RREF bases are
+unique, so both give the same bytes.
+
+Entries are range-checked where data enters: every public function
+coerces and checks its matrix arguments.  :func:`_mat_mul`, the product
+behind :func:`mat_mul`, skips that check, for operands the library built
+and checked itself.
 """
 
 from __future__ import annotations
@@ -90,10 +97,16 @@ def _packed_gf2(field: Field, n: int) -> bool:
     return field.q == 2 and n <= 62
 
 
+def _gf2_words(A: np.ndarray) -> np.ndarray:
+    """The rows of a (range-checked) 0/1 matrix, or of a stack of them, as
+    packed int64 words."""
+    weights = np.int64(1) << np.arange(A.shape[-1] - 1, -1, -1, dtype=np.int64)
+    return A.astype(np.int64) @ weights
+
+
 def _pack_gf2(A: np.ndarray) -> list[int]:
     """The rows of a (range-checked) 0/1 matrix as packed ints."""
-    weights = np.int64(1) << np.arange(A.shape[1] - 1, -1, -1, dtype=np.int64)
-    return (A.astype(np.int64) @ weights).tolist()
+    return _gf2_words(A).tolist()
 
 
 def _unpack_gf2(words, n: int) -> np.ndarray:
@@ -150,6 +163,37 @@ def _kernel_gf2(rows, n: int) -> list[int]:
     return _reduced_gf2(_echelon_gf2(free))
 
 
+def _rref_block_gf2(A: np.ndarray, ranks: np.ndarray, pivots: np.ndarray) -> None:
+    """One block of :func:`rref_stack` on the packed path, reduced in place.
+
+    Row j of member b is the int64 word Z[r + j, b], and the pivot rows
+    found so far sit above, in Z[:r].  Step i takes the largest remaining
+    word x of every member, the one with the leftmost lead, and replaces
+    every word y by min(y, y ^ x), which is y ^ x exactly when y has x's
+    lead bit: x's own row vanishes, the earlier pivot rows lose x's lead
+    column, and x becomes pivot row i."""
+    b, r, n = A.shape
+    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
+    Z = np.zeros((2 * r, b), dtype=np.int64)
+    Z[r:] = _gf2_words(A).T
+    for i in range(min(r, n)):
+        x = np.maximum.reduce(Z[r:], axis=0)
+        if not x.any():
+            break
+        np.minimum(Z, Z ^ x, out=Z)
+        Z[i] = x
+    P = Z[:r]
+    A[...] = ((P[:, :, None] >> shifts) & 1).transpose(1, 0, 2)
+    ranks[:] = np.count_nonzero(P, axis=0)
+    # each row's lead bit: copy it into every lower bit, then keep the top
+    k = 1
+    while k < n:
+        P |= P >> k
+        k *= 2
+    P ^= P >> 1
+    pivots[...] = (np.bitwise_or.reduce(P, axis=0)[:, None] >> shifts) & 1
+
+
 def rref(field: Field, mat) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form of the row space.
 
@@ -201,9 +245,15 @@ def rank(field: Field, mat) -> int:
 def rref_stack(field: Field, stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`rref` of each member of a (B, r, n) stack: the reduced
     stack (rows of the RREF, then zero rows), the (B, n) pivot-column mask
-    and the (B,) int64 ranks.  Column by column, each member takes its own
-    pivot row, scales it to 1 and clears the column from every other row,
-    in blocks along B whose temporaries stay under the pair-kernel budget.
+    and the (B,) int64 ranks.  The input is range-checked and left as it is.
+
+    Over GF(2) with at most 62 columns each row is one int64 word and
+    the stack is eliminated by XOR (:func:`_rref_block_gf2`) in at most
+    min(r, n) steps.  Otherwise, column by column, each
+    member takes its own pivot row, scales it to 1 and clears the column
+    from every other row by table lookups.  Both run in blocks along B
+    whose temporaries stay under the pair-kernel budget, and both give the
+    unique RREF, so the same bytes.
     """
     R = as_stack(field, stack).copy()
     if R.ndim != 3:
@@ -213,8 +263,13 @@ def rref_stack(field: Field, stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     ranks = np.zeros(B, dtype=np.int64)
     if r == 0 or n == 0:
         return R, pivots, ranks
-    # the update indexes flat tables with up to four (b, r, n) intp arrays
+    # the update indexes flat tables with up to four (b, r, n) intp arrays;
+    # the packed path packs and unpacks through up to two (b, r, n) int64 ones
     step = max(1, _PAIR_BLOCK_BYTES // (32 * r * n))
+    if _packed_gf2(field, n):
+        for lo in range(0, B, step):
+            _rref_block_gf2(R[lo:lo + step], ranks[lo:lo + step], pivots[lo:lo + step])
+        return R, pivots, ranks
     q = np.intp(field.q)
     mulT, mulF, addF = field.mul_table, field.mul_table.ravel(), field.add_table.ravel()
     negT, invT = field.neg_table, field.inv_table
@@ -311,9 +366,16 @@ def span_stack(field: Field, stack) -> list[Subspace]:
 
 def mat_mul(field: Field, A, B) -> np.ndarray:
     """Matrix product over the field.  Either factor may be a stack of
-    matrices; leading axes broadcast as with numpy's ``@``."""
-    A = as_stack(field, A)
-    B = as_stack(field, B)
+    matrices; leading axes broadcast as with numpy's ``@``.  Both factors
+    are coerced to uint8 and range-checked (a vector is one row), then
+    multiplied by :func:`_mat_mul`."""
+    return _mat_mul(field, as_stack(field, A), as_stack(field, B))
+
+
+def _mat_mul(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The product behind :func:`mat_mul`, for uint8 factors whose entries
+    are already known to lie in the field: the library's own outputs and
+    matrices checked when they were built.  Only the shapes are checked."""
     if A.shape[-1] != B.shape[-2]:
         raise DimensionMismatch(f"cannot multiply {A.shape} by {B.shape}")
     if field.p == 2 and field.e == 1:

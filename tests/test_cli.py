@@ -8,7 +8,10 @@ import pytest
 from qgeom.cli import run
 from qgeom.gf import Field
 from qgeom.grassmann import GrassmannGraph
-from qgeom.ioformats import parse_graph6, write_edge_csv, write_graph6
+from qgeom.embed import search_embeddings
+from qgeom.ioformats import (canonical_json, graph_json_obj, parse_graph6, polar_config,
+                             write_edge_csv, write_graph6, write_json)
+from qgeom.polar import build_polar_space
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -58,6 +61,24 @@ def test_edge_csv_sorted():
     assert pairs == sorted(pairs)
     assert all(u < v for u, v in pairs)
     assert len(pairs) == 35 * 18 // 2
+
+
+def test_write_json_is_canonical_json_byte_for_byte(tmp_path):
+    """The streamed writer gives the bytes of canonical_json, on a graph
+    export and on a census object like that of `qgeom embed search`."""
+    g = GrassmannGraph(Field(2), 4, 2)
+    field, form = polar_config(json.loads(read(cfg("w32.json"))))
+    census = search_embeddings(build_polar_space(field, 4, form), 4, 2, anchor=False)
+    objs = {
+        "graph": graph_json_obj(g, extra={"q": 2, "n": 4, "k": 2}),
+        "census": {"ordering_version": 1, "anchored": census.anchored,
+                   "anchor_index": census.anchor_index, "count": len(census.members),
+                   "embeddings": census.members.tolist()},
+    }
+    for name, obj in objs.items():
+        path = tmp_path / f"{name}.json"
+        write_json(str(path), obj)
+        assert read(path) == canonical_json(obj).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +332,23 @@ def test_bad_embedding_entry_is_a_config_error(value, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"config error: entry {value!r} out of range for GF(2)\n"
+
+
+@pytest.mark.parametrize("value", [0.7, "0", True])
+def test_bad_source_index_is_a_config_error(value, tmp_path, capsys):
+    table = tmp_path / "canonical.json"
+    assert run(["embed", "canonical", "--polar", cfg("w32.json"),
+                "--n", "5", "--k", "3", "--out", str(table)]) == 0
+    rows = json.loads(table.read_text())["table"]
+    rows[0]["source_index"] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(rows))
+    capsys.readouterr()
+    assert run(["embed", "verify", "--polar", cfg("w32.json"), "--n", "5",
+                "--k", "3", "--embedding", str(bad)]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: source_index {value!r} is not an integer\n"
 
 
 def test_embed_search_output(tmp_path):

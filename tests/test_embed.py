@@ -522,6 +522,16 @@ def test_embedding_json_repeated_entry_rejected(w32_in_5):
         embedding_from_json_obj(w32_in_5, 3, twice)
 
 
+@pytest.mark.parametrize("value", [0.7, "0", True])
+def test_embedding_json_source_index_must_be_an_integer(w32_in_5, value):
+    """A fractional, string or bool index is a ValueError naming
+    source_index, not truncated to an entry that happens to match."""
+    table = canonical_embedding(w32_in_5, 3).as_json_obj()
+    table[0]["source_index"] = value
+    with pytest.raises(ValueError, match=f"^source_index {value!r} is not an integer$"):
+        embedding_from_json_obj(w32_in_5, 3, table)
+
+
 @pytest.mark.parametrize("key", ["source_basis", "image_basis"])
 @pytest.mark.parametrize("value", [300, -1, 1.5, "1"])
 def test_embedding_json_entries_must_be_field_elements(w32_in_5, key, value):

@@ -153,6 +153,22 @@ def test_mat_mul_checks_stacks():
         mat_mul(GF2, np.uint8(1), np.eye(2, dtype=np.uint8))
 
 
+@pytest.mark.parametrize("field,bad", [(GF2, 2), (GF4, 4), (GF3, 3)])
+def test_witness_matrix_is_range_checked_when_built(field, bad):
+    """A witness checks its matrix once, when it is built, with the message
+    the public mat_mul gives for the same matrix; its own products then
+    skip that check, and mat_mul keeps it."""
+    M = np.eye(3, dtype=np.uint8)
+    M[1, 2] = bad
+    with pytest.raises(ValueError) as built:
+        EquivalenceWitness(field, M)
+    with pytest.raises(ValueError) as public:
+        mat_mul(field, M, np.eye(3, dtype=np.uint8))
+    assert str(built.value) == str(public.value) == f"entry {bad} out of range for {field}"
+    with pytest.raises(DimensionMismatch, match="cannot multiply"):
+        mat_mul(field, np.eye(3, dtype=np.uint8), np.eye(2, dtype=np.uint8))
+
+
 # ---------------------------------------------------------------------------
 # reduce_rows_against
 # ---------------------------------------------------------------------------
