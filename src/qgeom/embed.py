@@ -64,7 +64,9 @@ from .subspace import (
     _PAIR_BLOCK_BYTES,
     QuotientSpace,
     Subspace,
+    _kernel_rows,
     _mat_mul,
+    _stack_spaces,
     annihilators,
     as_matrix,
     field_entries,
@@ -104,8 +106,8 @@ class Embedding:
     """
 
     __slots__ = ("source", "field", "target_n", "target_k", "images", "meta",
-                 "_key", "_analysis", "_verified", "_invariant", "_stack",
-                 "_dual", "_base_witness")
+                 "_key", "_analysis", "_verified", "_invariant", "_bases",
+                 "_stack", "_dual", "_base_witness")
 
     def __init__(self, source: PolarSpace, target_k: int, images,
                  target_n: int | None = None, meta: dict | None = None):
@@ -117,7 +119,8 @@ class Embedding:
         self.images = tuple(images)
         self.meta = dict(meta) if meta else _NO_META
         self._verified = False
-        self._key = self._analysis = self._invariant = self._stack = self._dual = None
+        self._key = self._analysis = self._invariant = self._dual = None
+        self._bases = self._stack = None
         self._base_witness = None
 
     @property
@@ -127,19 +130,33 @@ class Embedding:
             self._key = tuple(s._bytes for s in self.images)
         return self._key
 
+    def _stacked_bases(self) -> tuple[np.ndarray, tuple[int, ...]]:
+        """Built once, read-only: the (t, d, n) uint8 stack of the images'
+        RREF bases (zero rows after each) and the image dimensions."""
+        if self._bases is None:
+            B = stack_bases(self.field, self.images, self.target_n)
+            B.setflags(write=False)
+            self._bases = (B, tuple(s.dim for s in self.images))
+        return self._bases
+
     def stacked(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
         """Built once, read-only: the (t, d, n) uint8 stack of the images'
         RREF bases (zero rows after each), the (t, n, n) uint8 residual
         maps (x R[i] is what elimination by the basis of image i leaves of
-        x, zero exactly for x in the image) and the image dimensions."""
+        x, zero exactly for x in the image) and the image dimensions.
+
+        The bases and dimensions are memoized on their own, and they are
+        all that verification and the structural analysis read; the
+        residual maps are built here, on the first call, which is the
+        first :meth:`EquivalenceWitness.verify_on` with this embedding as
+        its target."""
         if self._stack is None:
-            B = stack_bases(self.field, self.images, self.target_n)
+            B, dims = self._stacked_bases()
             # a zero row takes pivot 0 and eliminates nothing
             R = reduce_rows_against(self.field, B, (B != 0).argmax(axis=2),
                                     np.eye(self.target_n, dtype=np.uint8)[None])
-            B.setflags(write=False)
             R.setflags(write=False)
-            self._stack = (B, R, tuple(B.any(axis=2).sum(axis=1).tolist()))
+            self._stack = (B, R, dims)
         return self._stack
 
     def table(self) -> list[tuple[int, Subspace, Subspace]]:
@@ -224,8 +241,8 @@ def verify_isometric(e: Embedding, crosscheck: str | bool = "auto") -> dict:
         idx = np.array([G.index_of(img) for img in e.images], dtype=np.intp)
 
     # k - dim(f(M_i) ∩ f(M_j)) = rank [f(M_i); f(M_j)] - k, all pairs at once
-    bases = e.stacked()[0]
-    I, J = np.triu_indices(len(bases), 1)
+    bases = e._stacked_bases()[0]
+    I, J = ps.maximal_pairs
     got = pair_rank_stack(e.field, bases, bases, I, J) - k
     bad = got != DS[I, J]
     if do_cross:
@@ -365,18 +382,27 @@ def extract_star_subspace(e: Embedding) -> Subspace:
 
 
 def reduce_to_quotient(e: Embedding, U: Subspace) -> Embedding:
-    """The reduced embedding g(M) = f(M)/U into the m-Grassmannian of W = V/U."""
+    """The reduced embedding g(M) = f(M)/U into the m-Grassmannian of W = V/U.
+
+    One :func:`rref_stack` of the projected image bases gives both g's
+    images, each a view of the reduced stack, and g's stacked bases."""
     ps = e.source
     d = e.target_k - ps.rank
     if U.dim != d:
         raise DimensionMismatch(f"U has dimension {U.dim}, expected k - m = {d}")
     qs = QuotientSpace(e.target_n, U)
-    images = span_stack(e.field, mat_mul(e.field, e.stacked()[0], qs.coordinate_map.T))
+    B, dims = e._stacked_bases()
+    R, _, ranks = rref_stack(e.field, _mat_mul(e.field, B, qs.coordinate_map.T))
     # (S + U)/U has dimension dim S - dim U exactly when S contains U
-    for i, (img, S) in enumerate(zip(e.images, images)):
-        if S.dim != img.dim - d:
-            raise StarViolation(f"image {i} does not contain U")
-    g = Embedding(ps, ps.rank, images, target_n=qs.dim, meta={"quotient": qs})
+    bad = np.flatnonzero(ranks != np.array(dims, dtype=np.int64) - d)
+    if bad.size:
+        raise StarViolation(f"image {int(bad[0])} does not contain U")
+    ranks = ranks.tolist()
+    R = R[:, :max(ranks, default=0)]
+    R.setflags(write=False)
+    g = Embedding(ps, ps.rank, _stack_spaces(e.field, R, ranks), target_n=qs.dim,
+                  meta={"quotient": qs})
+    g._bases = (R, tuple(ranks))
     verify_isometric(g)
     return g
 
@@ -389,10 +415,20 @@ def induce_point_map(g: Embedding) -> tuple[Subspace, ...]:
     (EmptyIntersection, highest severity); an intersection of dimension
     above one is surfaced as an Anomaly; a collision between two points
     raises NotInjective.
+
+    One elimination in all: the annihilator of each g(M) is spanned by
+    the kernel rows of its RREF basis (:func:`_kernel_rows`, one per free
+    column, none built as a subspace), and one :func:`nullspace_stack`
+    intersects the images over every star at once.
     """
     ps = g.source
     fieldq, n = g.field, g.target_n
-    anns = stack_bases(fieldq, annihilators(g.images), n)
+    V, pivots = _kernel_rows(fieldq, g._stacked_bases()[0])
+    # the free rows of each image first, padded with its zero pivot rows to
+    # the largest annihilator dimension
+    free = n - int(pivots.sum(axis=1).min(initial=n))
+    order = np.argsort(pivots, axis=1, kind="stable")[:, :free]
+    anns = np.take_along_axis(V, order[:, :, None], axis=1)
     # the star table pads with index t: one zero block past the stack
     anns = np.concatenate([anns, np.zeros((1,) + anns.shape[1:], dtype=np.uint8)])
     idx = ps.point_stars
@@ -406,7 +442,9 @@ def induce_point_map(g: Embedding) -> tuple[Subspace, ...]:
         raise Anomaly(
             f"images over the star of point {i} intersect in dimension "
             f"{dim}", {"point": i, "dim": dim})
-    out = tuple(Subspace(fieldq, n, basis[:1]) for basis in K)
+    K = np.ascontiguousarray(K[:, :1])
+    K.setflags(write=False)
+    out = tuple(_stack_spaces(fieldq, K, [1] * len(K)))
     if len({s._bytes for s in out}) != len(out):
         raise NotInjective("the induced point map collides")
     return out
@@ -420,22 +458,31 @@ def check_line_images(ps: PolarSpace, g: Embedding, q_map) -> dict:
     line: its q+1 point images must be exactly the q+1 one-dim
     subspaces of a single 2-dim subspace of W; anything else is a
     PartialLine, which is impossible over a finite field.
+
+    Both checks are ranks of one :func:`rank_stack`: the stacks
+    [g(M); q(P); q(Q)] and the point rows of each line, zero-padded to
+    one row count.  Containments are judged first, then lines, each at
+    its first failure.
     """
     fieldq, n = ps.field, g.target_n
     q_bases = stack_bases(fieldq, q_map, n)
     lines, pairs = ps.line_points, ps.collinear_pairs
     C, T = ps.collinear_triples.T
+    B, dims = g._stacked_bases()
+    d, pq, lq = B.shape[1], 2 * q_bases.shape[1], lines.shape[1] * q_bases.shape[1]
+    S = np.zeros((len(T) + len(lines), max(d + pq, lq), n), dtype=np.uint8)
+    S[:len(T), :d] = B[T]
+    S[:len(T), d:d + pq] = q_bases[pairs[C]].reshape(len(T), pq, n)
+    S[len(T):, :lq] = q_bases[lines].reshape(len(lines), lq, n)
+    ranks = rank_stack(fieldq, S)
     # g(M) contains q(P) + q(Q) iff rank [g(M); q(P); q(Q)] = dim g(M)
-    PQ = q_bases[pairs].reshape(len(pairs), 2 * q_bases.shape[1], n)
-    B, _, dims = g.stacked()
-    bad = np.flatnonzero(pair_rank_stack(fieldq, B, PQ, T, C) != np.array(dims)[T])
+    bad = np.flatnonzero(ranks[:len(T)] != np.array(dims)[T])
     if bad.size:
         (a, b), t = pairs[C[bad[0]]].tolist(), int(T[bad[0]])
         raise ContainmentViolation(
             f"image of maximal {t} misses q(P) + q(Q) for points ({a}, {b})",
             (a, b, t))
-    spans = rank_stack(fieldq, q_bases[lines].reshape(
-        len(lines), lines.shape[1] * q_bases.shape[1], n))
+    spans = ranks[len(T):]
     for l, pts in enumerate(lines.tolist()):
         image_points = {q_map[i]._bytes for i in pts}
         if spans[l] != 2 or len(image_points) != fieldq.q + 1:
@@ -501,7 +548,7 @@ def analyze_embedding(e: Embedding) -> StructureReport:
     q_map = induce_point_map(g)
     line_stats = check_line_images(ps, g, q_map)
     w_prime = Subspace.span(
-        e.field, np.vstack([s.basis for s in q_map]), g.target_n)
+        e.field, np.concatenate([s.basis for s in q_map]), g.target_n)
     report = StructureReport(
         embedding=e,
         star_subspace=U,
@@ -772,7 +819,7 @@ class EquivalenceWitness:
         residual maps (:meth:`Embedding.stacked`) must give zero.  An
         invertible (semi)linear map keeps dimensions, so containment plus
         equal dimensions settles equality without re-canonicalizing."""
-        B, _, dims = (_dualized(f1) if self.dual else f1).stacked()
+        B, dims = (_dualized(f1) if self.dual else f1)._stacked_bases()
         _, R, target_dims = f2.stacked()
         if dims != target_dims:
             return False

@@ -352,10 +352,16 @@ class PolarSpace:
         return tuple(x for x in self.line_stars[l].tolist() if x < len(self.maximals))
 
     @cached_property
+    def maximal_pairs(self) -> np.ndarray:
+        """The (2, t(t-1)/2) intp array (I, J) of the index pairs i < j of
+        the maximals, row-major, as ``np.triu_indices(t, 1)``."""
+        return _read_only(np.array(np.triu_indices(len(self.maximals), 1)))
+
+    @cached_property
     def distances(self) -> np.ndarray:
         """Pairwise m - dim(M_i ∩ M_j) = rank [M_i; M_j] - m, int16."""
         bases = self.maximal_bases
-        I, J = np.triu_indices(len(bases), 1)
+        I, J = self.maximal_pairs
         D = np.zeros((len(bases),) * 2, dtype=np.int16)
         D[I, J] = D[J, I] = pair_rank_stack(self.field, bases, bases, I, J) - self.rank
         return _read_only(D)

@@ -13,12 +13,15 @@ each row is one Python int, and one elimination, :func:`_echelon_gf2`,
 backs :func:`rank`, :func:`rref`, :func:`nullspace` and the subspace
 lattice (sum, intersection and its dimension, annihilator, containment,
 :func:`multi_intersection`, :func:`span_dim`).  Each such subspace
-caches its RREF rows packed this way, filled in on first use.  The
-stacked kernels (:func:`rref_stack` and the ones built on it) pack each
-row of a stack into one int64 word and eliminate by XOR over the whole
-stack.  Every other field or width takes the table-driven path, which is
-also the packed paths' differential oracle in the tests; RREF bases are
-unique, so both give the same bytes.
+caches its RREF rows packed this way: one born on this path keeps them
+from birth, with a read-only basis over the bytes that are also its key;
+any other fills them on first use.  The zero subspace is one shared
+instance per (field, n).  The stacked kernels (:func:`rref_stack` and
+the ones built on it) pack each row of a stack into one int64 word and
+eliminate by XOR over the whole stack.  Every other field or width
+takes the table-driven path, which is also the packed paths'
+differential oracle in the tests; RREF bases are unique, so both give
+the same bytes.
 
 Entries are range-checked where data enters: every public function
 coerces and checks its matrix arguments.  :func:`_mat_mul`, the product
@@ -36,6 +39,8 @@ from .gf import Field
 # Byte budget of one block of the batched kernels.  The bitset table of the
 # pairwise kernel is one row of a block, so it must fit on its own.
 _PAIR_BLOCK_BYTES = 1 << 22
+# the shared zero subspaces, by (field, ambient dimension); see Subspace.zero
+_ZEROS: dict = {}
 
 
 # -- raw matrix machinery -----------------------------------------------------
@@ -109,11 +114,15 @@ def _pack_gf2(A: np.ndarray) -> list[int]:
     return _gf2_words(A).tolist()
 
 
-def _unpack_gf2(words, n: int) -> np.ndarray:
-    """The (len(words), n) uint8 matrix of packed rows."""
+def _gf2_bytes(words, n: int) -> bytes:
+    """The bytes of the (len(words), n) uint8 matrix of packed rows."""
     spec = f"0{n}b"
-    text = bytearray("".join([format(w, spec) for w in words]), "ascii")
-    return np.frombuffer(text.translate(_FROM_ASCII), dtype=np.uint8).reshape(len(words), n)
+    return "".join([format(w, spec) for w in words]).encode("ascii").translate(_FROM_ASCII)
+
+
+def _unpack_gf2(words, n: int) -> np.ndarray:
+    """The (len(words), n) uint8 matrix of packed rows, writable."""
+    return np.frombuffer(bytearray(_gf2_bytes(words, n)), dtype=np.uint8).reshape(len(words), n)
 
 
 def _echelon_gf2(words, pivots: dict[int, int] | None = None) -> dict[int, int]:
@@ -334,34 +343,56 @@ def nullspace(field: Field, mat) -> np.ndarray:
     return np.ascontiguousarray(_free_rows(field, R, piv, A.shape[1])[1][::-1, ::-1])
 
 
+def _kernel_rows(field: Field, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel rows of a (B, r, n) stack of RREF bases (zero rows after
+    each), no elimination: (V, pivots), V of shape (B, n, n) whose row j of
+    member b is e_j - sum_i R[b, i, j] e_{p_i} for a free column j and zero
+    for a pivot column, pivots the (B, n) pivot-column mask.  The free rows
+    of a member are a basis of {x : R[b] x = 0}, as in :func:`_free_rows`."""
+    B, _, n = R.shape
+    V = np.zeros((B, n, n), dtype=np.uint8)
+    pivots = np.zeros((B, n), dtype=bool)
+    b, i = np.nonzero(R.any(axis=2))
+    if b.size:
+        lead = (R[b, i] != 0).argmax(axis=1)
+        V[b, :, lead] = field.neg_table[R[b, i]]
+        pivots[b, lead] = True
+    V[pivots] = 0
+    b, j = np.nonzero(~pivots)
+    V[b, j, j] = 1
+    return V, pivots
+
+
 def nullspace_stack(field: Field, stack) -> tuple[np.ndarray, np.ndarray]:
     """Kernels of a (B, r, n) stack by one :func:`rref_stack`: (K, dims),
     K[b, :dims[b]] = ``nullspace(field, stack[b])``, zero rows after it.
 
-    The elimination runs on the column-reversed members, and column j of
-    member b gives the row e_j - sum_i R[b, i, j] e_{p_i} (zero for a pivot
-    j), as in :func:`_free_rows`.  Read back in the original order, these
-    rows lead with 1 at distinct columns and vanish on each other's, so
-    sorted they are the kernel's RREF basis.
+    The elimination runs on the column-reversed members, and
+    :func:`_kernel_rows` turns each free column of the result into one
+    kernel row.  Read back in the original order, these rows lead with 1
+    at distinct columns and vanish on each other's, so sorted they are the
+    kernel's RREF basis.
     """
     S = np.asarray(stack, dtype=np.uint8)
-    R, pivots, ranks = rref_stack(field, S[:, :, ::-1] if S.ndim == 3 else S)
-    B, r, n = R.shape
-    V = np.zeros((B, n, n), dtype=np.uint8)
-    b, i = np.nonzero(np.arange(r) < ranks[:, None])
-    if b.size:
-        V[b, :, (R[b, i] != 0).argmax(axis=1)] = field.neg_table[R[b, i]]
-    V[pivots] = 0
-    b, j = np.nonzero(~pivots)
-    V[b, j, j] = 1
+    R, _, ranks = rref_stack(field, S[:, :, ::-1] if S.ndim == 3 else S)
+    V, pivots = _kernel_rows(field, R)
     order = np.argsort(pivots[:, ::-1], axis=1, kind="stable")
-    return np.take_along_axis(V[:, ::-1, ::-1], order[:, :, None], axis=1), n - ranks
+    return np.take_along_axis(V[:, ::-1, ::-1], order[:, :, None], axis=1), R.shape[2] - ranks
 
 
 def span_stack(field: Field, stack) -> list[Subspace]:
     """The row spaces of a (B, r, n) stack, by one :func:`rref_stack`."""
     R, _, ranks = rref_stack(field, stack)
-    return [Subspace(field, R.shape[2], m[:d]) for m, d in zip(R, ranks.tolist())]
+    R.setflags(write=False)
+    return _stack_spaces(field, R, ranks.tolist())
+
+
+def _stack_spaces(field: Field, R: np.ndarray, dims) -> list[Subspace]:
+    """The subspaces whose RREF bases are the members of a read-only
+    (B, r, n) stack, member b in its first dims[b] rows: each basis is a
+    view of the stack, nothing is copied or checked again."""
+    n = R.shape[2]
+    return [Subspace._adopt(field, n, m[:d]) for m, d in zip(R, dims)]
 
 
 def mat_mul(field: Field, A, B) -> np.ndarray:
@@ -434,7 +465,8 @@ class Subspace:
     is the canonical vertex order.
 
     Over GF(2) with n <= 62 the lattice operations run on the basis rows
-    packed as ints, filled in on first use.
+    packed as ints, kept from birth by subspaces built on that path and
+    filled in on first use by the others.
     """
 
     __slots__ = ("field", "ambient_dim", "basis", "_bytes", "_hash",
@@ -442,16 +474,19 @@ class Subspace:
 
     def __init__(self, field: Field, ambient_dim: int, basis: np.ndarray):
         # callers must pass a verified RREF basis; use span() otherwise
-        self.field = field
-        self.ambient_dim = int(ambient_dim)
         b = np.asarray(basis, dtype=np.uint8)
         if b.ndim != 2 or b.shape[1] != ambient_dim:
             raise DimensionMismatch(f"basis shape {b.shape} vs ambient {ambient_dim}")
         b = b.copy()
         b.setflags(write=False)
-        self.basis = b
-        self._bytes = b.tobytes()
-        self._hash = hash((self.ambient_dim, b.shape[0], self._bytes))
+        self._fill(field, int(ambient_dim), b, b.tobytes())
+
+    def _fill(self, field: Field, ambient_dim: int, basis: np.ndarray, raw: bytes) -> None:
+        self.field = field
+        self.ambient_dim = ambient_dim
+        self.basis = basis
+        self._bytes = raw
+        self._hash = hash((ambient_dim, basis.shape[0], raw))
         self._pivots = None
         self._ann = None
         self._gf2 = None
@@ -459,8 +494,19 @@ class Subspace:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _adopt(cls, field: Field, ambient_dim: int, basis: np.ndarray,
+               raw: bytes | None = None) -> "Subspace":
+        """The subspace on a read-only RREF basis the library built, kept as
+        it is (no copy, no check); raw is its bytes when already known."""
+        s = cls.__new__(cls)
+        s._fill(field, ambient_dim, basis, basis.tobytes() if raw is None else raw)
+        return s
+
+    @classmethod
     def span(cls, field: Field, vectors, ambient_dim: int | None = None) -> "Subspace":
-        """Canonical subspace spanned by the given row vectors."""
+        """Canonical subspace spanned by the given row vectors.  On the
+        packed GF(2) path it is born from its packed RREF rows
+        (:meth:`_from_gf2`), which it keeps."""
         try:
             A = np.asarray(vectors, dtype=np.uint8)
         except OverflowError:
@@ -474,19 +520,36 @@ class Subspace:
         n = A.shape[1]
         if ambient_dim is not None and ambient_dim != n:
             raise AmbientMismatch(f"vectors of length {n} in ambient {ambient_dim}")
+        if _packed_gf2(field, n):
+            words = _reduced_gf2(_echelon_gf2(_pack_gf2(as_matrix(field, A))))
+            return cls._from_gf2(field, n, words)
         R, _ = rref(field, A)
-        return cls(field, n, R)
+        return cls(field, n, R) if len(R) else cls.zero(field, n)
 
     @classmethod
     def _from_gf2(cls, field: Field, ambient_dim: int, words: list[int]) -> "Subspace":
-        """The subspace with these packed RREF rows, its packed slot filled."""
-        s = cls(field, ambient_dim, _unpack_gf2(words, ambient_dim))
+        """The subspace with these packed RREF rows, its packed slot filled.
+        The basis is read-only over the bytes that also serve as its key,
+        so it can never be made writable and is never copied.  No rows is
+        the shared :meth:`zero`."""
+        if not words:
+            return cls.zero(field, ambient_dim)
+        raw = _gf2_bytes(words, ambient_dim)
+        basis = np.frombuffer(raw, dtype=np.uint8).reshape(len(words), ambient_dim)
+        s = cls._adopt(field, ambient_dim, basis, raw)
         s._gf2 = tuple(words)
         return s
 
     @classmethod
     def zero(cls, field: Field, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, np.zeros((0, ambient_dim), dtype=np.uint8))
+        """The zero subspace of GF(q)^ambient_dim: one shared read-only
+        instance per (field, ambient_dim), built on first request.  Its
+        cached annihilator is the full space."""
+        key = (field, ambient_dim)
+        z = _ZEROS.get(key)
+        if z is None:
+            z = _ZEROS[key] = cls(field, ambient_dim, np.zeros((0, ambient_dim), dtype=np.uint8))
+        return z
 
     @classmethod
     def full(cls, field: Field, ambient_dim: int) -> "Subspace":
@@ -599,7 +662,7 @@ class Subspace:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
-            and self.field == other.field
+            and (self.field is other.field or self.field == other.field)
             and self.key == other.key
         )
 
@@ -623,16 +686,19 @@ def multi_intersection(spaces: list[Subspace]) -> Subspace:
     annihilators, which is much cheaper than folding pairwise intersections.
 
     Packed GF(2): one elimination takes the annihilators' rows in turn and
-    stops at the zero subspace once their rank reaches n; otherwise the
-    kernel is read off the echelon.  Other fields stack the annihilator
-    bases and take a single :func:`nullspace`.
+    stops once their rank reaches n; otherwise the kernel is read off the
+    echelon.  Other fields stack the annihilator bases and take a single
+    :func:`nullspace`.  An empty intersection is the shared
+    :meth:`Subspace.zero`, never a fresh one.
     """
     if not spaces:
         raise DimensionMismatch("need at least one subspace")
     first = spaces[0]
     field, n = first.field, first.ambient_dim
-    for s in spaces[1:]:
-        first._check_compatible(s)
+    for s in spaces:
+        # the common case inline; the method raises the precise error
+        if s.field is not field or s.ambient_dim != n:
+            first._check_compatible(s)
     if first._packed():
         pivots: dict[int, int] = {}
         for s in spaces:
@@ -640,8 +706,8 @@ def multi_intersection(spaces: list[Subspace]) -> Subspace:
             if len(pivots) == n:
                 return Subspace.zero(field, n)
         return Subspace._from_gf2(field, n, _kernel_gf2(_reduced_gf2(pivots), n))
-    anns = np.vstack([a.basis for a in annihilators(spaces)])
-    return Subspace(field, n, nullspace(field, anns))
+    K = nullspace(field, np.vstack([a.basis for a in annihilators(spaces)]))
+    return Subspace(field, n, K) if len(K) else Subspace.zero(field, n)
 
 
 def span_dim(spaces) -> int:
@@ -665,8 +731,9 @@ def annihilators(spaces) -> list[Subspace]:
     if todo:
         field, n = todo[0].field, todo[0].ambient_dim
         K, dims = nullspace_stack(field, stack_bases(field, todo, n))
-        for s, basis, d in zip(todo, K, dims.tolist()):
-            s._ann = Subspace(field, n, basis[:d])
+        K.setflags(write=False)
+        for s, ann in zip(todo, _stack_spaces(field, K, dims.tolist())):
+            s._ann = ann
     return [s._ann for s in spaces]
 
 

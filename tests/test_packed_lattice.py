@@ -180,3 +180,69 @@ def test_multi_intersection_checks_every_space_before_it_stops(other):
     for spaces in ([zero, other], [zero, Subspace.full(GF2, 3), other]):
         with pytest.raises(error):
             multi_intersection(spaces)
+
+
+# ---------------------------------------------------------------------------
+# subspaces born on the packed path, and the shared zero
+# ---------------------------------------------------------------------------
+
+def span_inputs(rng, n):
+    """Random 0/1 matrices with n columns, plus no rows, all-zero rows,
+    repeated rows and more rows than columns."""
+    yield np.zeros((0, n), dtype=np.uint8)
+    yield np.zeros((3, n), dtype=np.uint8)
+    for rows in (1, 2, 5, n - 1, n, n + 3):
+        A = (rng.random((rows, n)) < 0.4).astype(np.uint8)
+        yield A
+        yield np.vstack([A, A[::-1], A[:1]])
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 17, 61, 62, 63])
+def test_span_is_born_packed_and_matches_the_table_driven_rref(monkeypatch, n):
+    rng = np.random.default_rng(900 + n)
+    for A in span_inputs(rng, n):
+        got = Subspace.span(GF2, A, n)
+        with monkeypatch.context() as m:
+            m.setattr(subspace, "_packed_gf2", lambda field, n: False)
+            want = Subspace(GF2, n, subspace.rref(GF2, A)[0])
+        assert got.key == want.key and hash(got) == hash(want)
+        assert got == want and want == got
+        assert not (got < want) and not (want < got)
+        assert not got.basis.flags.writeable
+        if not got.dim:
+            assert got is Subspace.zero(GF2, n)
+        elif n <= 62:
+            assert got._gf2 == tuple(_pack_gf2(got.basis))
+            with pytest.raises(ValueError):
+                got.basis.setflags(write=True)
+        else:
+            assert got._gf2 is None
+        other = Subspace.span(GF2, (rng.random((2, n)) < 0.5).astype(np.uint8), n)
+        assert (got < other) == (want < other) and (other < got) == (other < want)
+
+
+def test_span_checks_entries_before_packing():
+    with pytest.raises(ValueError, match="entry 2 out of range for GF"):
+        Subspace.span(GF2, [[1, 2, 0]])
+
+
+@pytest.mark.parametrize("field, n", [(GF2, 0), (GF2, 4), (GF2, 63), (GF3, 3), (GF4, 5)])
+def test_the_zero_subspace_is_one_shared_read_only_instance(field, n):
+    zero = Subspace.zero(field, n)
+    assert Subspace.zero(field, n) is zero
+    assert Subspace.zero(Field(field.p, field.e), n) is zero
+    fresh_zero = Subspace(field, n, np.zeros((0, n), dtype=np.uint8))
+    assert zero == fresh_zero and hash(zero) == hash(fresh_zero)
+    assert zero.dim == 0 and not zero.basis.flags.writeable
+    assert zero.annihilator() == Subspace.full(field, n)
+    assert Subspace.span(field, np.zeros((0, n), dtype=np.uint8), n) is zero
+    if n:
+        assert Subspace.zero(field, n - 1) is not zero
+
+
+@pytest.mark.parametrize("field", [GF2, GF3], ids=["GF(2)", "GF(3)"])
+def test_an_empty_intersection_is_the_shared_zero(field):
+    a = Subspace.span(field, [[1, 0, 0], [0, 1, 0]])
+    b = Subspace.span(field, [[0, 0, 1]])
+    assert multi_intersection([a, b]) is Subspace.zero(field, 3)
+    assert (a & b) is Subspace.zero(field, 3)

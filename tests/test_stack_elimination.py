@@ -6,6 +6,9 @@ checked against the former two-pass ``nullspace`` and the table-driven
 checked against the per-point and per-candidate loops it replaced (also
 copied below), against digests of its outputs recorded before the
 batching, and for the type, message and payload of the first failure.
+The fused analysis (quotient, point map and line checks in four stacked
+eliminations) is checked the same way against the six-elimination path
+it replaced, copied below as well.
 """
 
 import gc
@@ -15,37 +18,49 @@ import json
 import numpy as np
 import pytest
 
-from qgeom import subspace
+from qgeom import embed, subspace
 from qgeom.embed import (
     Embedding,
     _base_witness_pair,
     _dualized,
     analyze_embedding,
     canonical_embedding,
+    check_line_images,
     extract_star_subspace,
     find_star_subspaces,
     induce_point_map,
     reduce_to_quotient,
+    search_embeddings,
+    verify_isometric,
 )
 from qgeom.errors import (
     Anomaly,
+    ContainmentViolation,
     DimensionMismatch,
     EmptyIntersection,
+    LemmaViolation,
     NotInjective,
+    PartialLine,
+    QGeomError,
     StarViolation,
 )
 from qgeom.gf import Field
 from qgeom.polar import Form, build_polar_space
 from qgeom.subspace import (
+    QuotientSpace,
     Subspace,
     annihilators,
     mat_mul,
+    multi_intersection,
     nullspace,
     nullspace_stack,
+    pair_rank_stack,
     projective_point_reps,
     rank_stack,
+    reduce_rows_against,
     rref_stack,
     span_stack,
+    stack_bases,
 )
 
 FIELDS = {2: Field(2), 3: Field(3), 4: Field(2, 2), 5: Field(5), 7: Field(7),
@@ -485,3 +500,305 @@ def test_line_point_table_matches_the_per_point_rule(make, n):
         assert all(type(i) is int for i in got)
     with pytest.raises(IndexError):
         ps.line_point_indices(len(ps.lines))
+
+
+# ---------------------------------------------------------------------------
+# the fused analysis against the six-elimination path it replaced
+# ---------------------------------------------------------------------------
+
+def parent_stacked(e):
+    """The former ``Embedding.stacked``: bases, residual maps, dimensions."""
+    B = stack_bases(e.field, e.images, e.target_n)
+    R = reduce_rows_against(e.field, B, (B != 0).argmax(axis=2),
+                            np.eye(e.target_n, dtype=np.uint8)[None])
+    return B, R, tuple(B.any(axis=2).sum(axis=1).tolist())
+
+
+def fresh_copy(e):
+    """e on fresh copies of its images, so no memo of theirs is shared."""
+    return Embedding(e.source, e.target_k,
+                     [Subspace(s.field, s.ambient_dim, s.basis) for s in e.images],
+                     target_n=e.target_n)
+
+
+def parent_reduce_to_quotient(e, U):
+    """The former quotient: a span_stack of the projected bases."""
+    ps = e.source
+    d = e.target_k - ps.rank
+    if U.dim != d:
+        raise DimensionMismatch(f"U has dimension {U.dim}, expected k - m = {d}")
+    qs = QuotientSpace(e.target_n, U)
+    images = span_stack(e.field, mat_mul(e.field, parent_stacked(e)[0], qs.coordinate_map.T))
+    for i, (img, S) in enumerate(zip(e.images, images)):
+        if S.dim != img.dim - d:
+            raise StarViolation(f"image {i} does not contain U")
+    g = Embedding(ps, ps.rank, images, target_n=qs.dim, meta={"quotient": qs})
+    verify_isometric(g)
+    return g
+
+
+def parent_induce_point_map(g):
+    """The former point map: annihilators() of the images, then one
+    nullspace_stack over the stars."""
+    ps = g.source
+    fieldq, n = g.field, g.target_n
+    anns = stack_bases(fieldq, annihilators(fresh_copy(g).images), n)
+    anns = np.concatenate([anns, np.zeros((1,) + anns.shape[1:], dtype=np.uint8)])
+    idx = ps.point_stars
+    K, dims = nullspace_stack(fieldq, anns[idx].reshape(len(idx), -1, n))
+    bad = np.flatnonzero(dims != 1)
+    if bad.size:
+        i, dim = int(bad[0]), int(dims[bad[0]])
+        if dim == 0:
+            raise EmptyIntersection(
+                f"images over the star of point {i} intersect only in zero")
+        raise Anomaly(
+            f"images over the star of point {i} intersect in dimension "
+            f"{dim}", {"point": i, "dim": dim})
+    out = tuple(Subspace(fieldq, n, basis[:1]) for basis in K)
+    if len({s._bytes for s in out}) != len(out):
+        raise NotInjective("the induced point map collides")
+    return out
+
+
+def parent_check_line_images(ps, g, q_map):
+    """The former line checks: a pair_rank_stack, then a rank_stack."""
+    fieldq, n = ps.field, g.target_n
+    q_bases = stack_bases(fieldq, q_map, n)
+    lines, pairs = ps.line_points, ps.collinear_pairs
+    C, T = ps.collinear_triples.T
+    PQ = q_bases[pairs].reshape(len(pairs), 2 * q_bases.shape[1], n)
+    B, _, dims = parent_stacked(g)
+    bad = np.flatnonzero(pair_rank_stack(fieldq, B, PQ, T, C) != np.array(dims)[T])
+    if bad.size:
+        (a, b), t = pairs[C[bad[0]]].tolist(), int(T[bad[0]])
+        raise ContainmentViolation(
+            f"image of maximal {t} misses q(P) + q(Q) for points ({a}, {b})",
+            (a, b, t))
+    spans = rank_stack(fieldq, q_bases[lines].reshape(
+        len(lines), lines.shape[1] * q_bases.shape[1], n))
+    for l, pts in enumerate(lines.tolist()):
+        image_points = {q_map[i]._bytes for i in pts}
+        if spans[l] != 2 or len(image_points) != fieldq.q + 1:
+            raise PartialLine(
+                f"line {l} maps to {len(image_points)} points spanning "
+                f"dimension {spans[l]}; a full line has {fieldq.q + 1} "
+                "points in dimension 2")
+        if any(q_map[i].dim != 1 for i in pts):
+            raise PartialLine(f"line {l} image is a proper subset of a line")
+    return {"lines_checked": len(ps.lines), "full_lines": len(lines),
+            "containments_checked": len(T), "lines_ok": True}
+
+
+def failure(fn, *args):
+    """fn(*args), or its failure as (type, args)."""
+    try:
+        return fn(*args)
+    except QGeomError as exc:
+        return type(exc), exc.args
+
+
+def failed(out):
+    return isinstance(out, tuple) and isinstance(out[0], type)
+
+
+def fused_structure(e):
+    U = extract_star_subspace(e)
+    g = reduce_to_quotient(e, U)
+    memo = g._bases
+    q = induce_point_map(g)
+    return U, g, memo, q, check_line_images(e.source, g, q)
+
+
+def parent_structure(e):
+    U = extract_star_subspace(e)
+    g = parent_reduce_to_quotient(e, U)
+    memo = parent_stacked(g)[0::2]
+    q = parent_induce_point_map(g)
+    return U, g, memo, q, parent_check_line_images(e.source, g, q)
+
+
+def structure_record(out):
+    """Everything the analysis recovers, as comparable values."""
+    if failed(out):
+        return out
+    U, g, (B, dims), q, stats = out
+    return (U.key, [s.key for s in g.images], B.shape, B.tobytes(), dims,
+            [s.key for s in q], stats)
+
+
+@pytest.fixture(scope="module")
+def micro_families(spaces):
+    """One member other than the canonical embedding from each family of
+    the anchored micro census: the star family (a common point) and the
+    flat family (none)."""
+    ps = spaces["W(3,2)"]
+    res = search_embeddings(ps, 5, 3)
+    verts, skip = res.target.vertices, canonical_embedding(ps, 3).key
+    found = {}
+    for row in res.members.tolist():
+        e = Embedding(ps, 3, [verts[i] for i in row])
+        d = multi_intersection(list(e.images)).dim
+        if d not in found and e.key != skip:
+            found[d] = e
+            if len(found) == 2:
+                return found[1], found[0]
+    raise AssertionError("the micro census lacks a family")
+
+
+def analysis_cases(spaces, micro_families):
+    star, flat = micro_families
+    cases = {name: canonical_embedding(ps, 3) for name, ps in spaces.items()}
+    cases.update({"micro star": star, "micro flat": flat,
+                  "micro star dual": _dualized(star), "micro flat dual": _dualized(flat)})
+    return cases
+
+
+def test_fused_analysis_matches_the_six_elimination_path(spaces, micro_families):
+    kinds = set()
+    for name, e in analysis_cases(spaces, micro_families).items():
+        got = structure_record(failure(fused_structure, fresh_copy(e)))
+        want = structure_record(failure(parent_structure, fresh_copy(e)))
+        assert got == want, name
+        kinds.add(got[0] if failed(got) else "ok")
+    # the flat family has no common point, so its analysis stops at U
+    assert kinds == {"ok", LemmaViolation}
+
+
+def test_the_reduced_bases_memo_is_the_reduced_stack(spaces, micro_families):
+    for name, e in analysis_cases(spaces, micro_families).items():
+        try:
+            g = analyze_embedding(fresh_copy(e)).reduced
+        except LemmaViolation:
+            continue
+        B, dims = g._stacked_bases()
+        assert not B.flags.writeable
+        assert all(not s.basis.flags.writeable for s in g.images)
+        # verified, but the residual maps are not built until asked for
+        assert g._verified and g._stack is None
+        got, want = g.stacked(), parent_stacked(g)
+        assert got[0] is B and got[2] == want[2] == dims
+        assert all(np.array_equal(a, b) and a.shape == b.shape
+                   for a, b in zip(got[:2], want[:2])), name
+
+
+def plant_image_without(e, U, j, rng):
+    """e with image j replaced by a k-dim subspace through M_j missing U."""
+    ps, field, n, k = e.source, e.field, e.target_n, e.target_k
+    M = ps.maximals[j].basis
+    reps = projective_point_reps(field, n)
+    for t in rng.permutation(len(reps)).tolist():
+        rows = [M] + [reps[(t + s) % len(reps)][None] for s in range(k - ps.rank)]
+        W = Subspace.span(field, np.vstack(rows), n)
+        if W.dim == k and not W.contains(U):
+            imgs = list(e.images)
+            imgs[j] = W
+            return Embedding(ps, k, imgs, target_n=n)
+    raise AssertionError("no subspace through M_j misses U")
+
+
+@pytest.mark.parametrize("name", ["W(3,2)", "W(3,3)", "H(3,4)", "Q(4,2)"])
+def test_planted_faults_fail_as_before(spaces, name):
+    """The same exception, message and first index on both paths."""
+    ps = spaces[name]
+    e = canonical_embedding(ps, 3)
+    U = extract_star_subspace(e)
+    rng = np.random.default_rng(len(name) + 40)
+    t = len(ps.maximals)
+    # an image without U; with two, the first is reported
+    for j in sorted(rng.choice(t, size=3, replace=False).tolist()):
+        bad = plant_image_without(e, U, j, rng)
+        got = failure(reduce_to_quotient, fresh_copy(bad), U)
+        assert got == failure(parent_reduce_to_quotient, fresh_copy(bad), U)
+        assert got == (StarViolation, (f"image {j} does not contain U",))
+        two = plant_image_without(bad, U, (j + 5) % t, rng)
+        got = failure(reduce_to_quotient, fresh_copy(two), U)
+        assert got == failure(parent_reduce_to_quotient, fresh_copy(two), U)
+        assert got == (StarViolation, (f"image {min(j, (j + 5) % t)} does not contain U",))
+    # a missed containment: one reduced image swapped for another's
+    report = analyze_embedding(e)
+    g, q = report.reduced, report.point_map
+    seen = set()
+    for j in rng.choice(t, size=4, replace=False).tolist():
+        imgs = list(g.images)
+        imgs[j] = imgs[(j + 1) % t]
+        g2 = Embedding(ps, ps.rank, imgs, target_n=g.target_n)
+        got = failure(check_line_images, ps, g2, q)
+        assert got == failure(parent_check_line_images, ps, fresh_copy(g2), q)
+        assert got[0] is ContainmentViolation and got[1][1][2] in (j, (j + 1) % t)
+        seen.add(got[1])
+    assert len(seen) > 1
+    # a colliding point map: in the line checks, and from the point map
+    for i in rng.choice(len(q), size=4, replace=False).tolist():
+        q2 = list(q)
+        q2[i] = q2[(i + 1) % len(q)]
+        got = failure(check_line_images, ps, g, q2)
+        assert got == failure(parent_check_line_images, ps, fresh_copy(g), q2)
+        assert got[0] in (ContainmentViolation, PartialLine)
+    # point images that are no points: all containments hold, lines fail
+    zero = Subspace.zero(ps.field, g.target_n)
+    first, second = ps.line_points[0, :2].tolist()
+    q2 = list(q)
+    q2[first] = zero
+    got = failure(check_line_images, ps, g, q2)
+    assert got == failure(parent_check_line_images, ps, fresh_copy(g), q2)
+    assert got == (PartialLine, ("line 0 image is a proper subset of a line",))
+    q2[second] = zero
+    got = failure(check_line_images, ps, g, q2)
+    assert got == failure(parent_check_line_images, ps, fresh_copy(g), q2)
+    assert got[0] is PartialLine and got[1][0].startswith(f"line 0 maps to {ps.field.q} points")
+    kinds = set()
+    for g2 in edited_tables(ps, g, rng):
+        got = failure(induce_point_map, g2)
+        want = failure(parent_induce_point_map, fresh_copy(g2))
+        if failed(got):
+            assert got == want
+            kinds.add(got[0])
+        else:
+            assert [s.key for s in got] == [s.key for s in want]
+    assert NotInjective in kinds
+
+
+def test_verify_leaves_the_residual_maps_unbuilt(spaces):
+    for ps in spaces.values():
+        e = fresh_copy(canonical_embedding(ps, 3))
+        verify_isometric(e)
+        assert e._stack is None and e._bases is not None
+        got = e.stacked()
+        assert e.stacked() is got and got[0] is e._stacked_bases()[0]
+        want = parent_stacked(e)
+        assert all(np.array_equal(a, b) and a.shape == b.shape
+                   for a, b in zip(got[:2], want[:2]))
+        assert got[2] == want[2]
+        assert not got[0].flags.writeable and not got[1].flags.writeable
+
+
+def test_the_maximal_pairs_table(spaces):
+    for ps in spaces.values():
+        I, J = ps.maximal_pairs
+        want = np.triu_indices(len(ps.maximals), 1)
+        assert np.array_equal(I, want[0]) and np.array_equal(J, want[1])
+        assert ps.maximal_pairs is ps.maximal_pairs
+        assert not ps.maximal_pairs.flags.writeable
+
+
+def test_an_analysis_makes_four_stacked_eliminations(monkeypatch, spaces):
+    """Once the embedding is verified and its images' annihilators are
+    known: the quotient, the reduced embedding's verification, the point
+    map and the line checks."""
+    calls = []
+
+    def counted(field, stack):
+        calls.append(np.shape(stack))
+        return rref_stack(field, stack)
+
+    for name in ("W(3,2)", "W(3,3)"):
+        e = fresh_copy(canonical_embedding(spaces[name], 3))
+        verify_isometric(e)
+        multi_intersection(list(e.images))
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(subspace, "rref_stack", counted)
+            m.setattr(embed, "rref_stack", counted)
+            analyze_embedding(e)
+        assert len(calls) == 4, (name, calls)
