@@ -30,7 +30,7 @@ print("=== the embedding M -> M + U into Gamma_3(GF(2)^5) ===")
 ps = build_polar_space(gf2, 5, form)
 e = canonical_embedding(ps, 3)
 print(f"chosen star direction U: {e.meta['u_basis']}")
-report = verify_isometric(e, crosscheck=True)
+report = verify_isometric(e)
 print(f"distance preservation: {report['pairs_checked']} pairs, "
       f"BFS cross-checked: {report['bfs_crosschecked']}")
 

@@ -56,7 +56,7 @@ print(f"anchored census: {len(res5.embeddings)} embeddings "
       f"= {len(star)} with a common direction + {len(flat)} without")
 
 base = canonical_embedding(ps5, 3)
-w = connecting_automorphism(base, star[100], full_verify=True)
+w = connecting_automorphism(base, star[100])
 print("star family: explicit witness connects the canonical embedding to "
       "an arbitrary member")
 try:
@@ -65,7 +65,7 @@ try:
 except NotEquivalent:
     print("across families: provably no connecting automorphism "
           "(the common-direction dimension is an invariant)")
-w = connecting_automorphism(flat[0], flat[12345], full_verify=True)
+w = connecting_automorphism(flat[0], flat[12345])
 print("flat family: members connect to each other "
       "(via the annihilator-conjugated fit)")
 

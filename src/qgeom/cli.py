@@ -74,9 +74,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     p = _Parser(prog="qgeom", description=__doc__)
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; has no effect, every "
-                        "computation runs in this process")
     p.add_argument("--field-cap", type=int, default=DEFAULT_FIELD_CAP,
                    help="maximum permitted field order")
     sub = p.add_subparsers(dest="command", required=True)
@@ -289,8 +286,7 @@ def _cmd_embed(args, cap: int) -> int:
             write_json(args.out, out_obj)
         return 0
 
-    result = search_embeddings(ps, args.n, args.k, anchor=args.anchor,
-                               workers=args.workers)
+    result = search_embeddings(ps, args.n, args.k, anchor=args.anchor)
     # the node count describes the search, not its result; it stays out
     # of the machine output, which holds only the census itself
     out_obj.update({

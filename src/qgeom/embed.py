@@ -50,7 +50,7 @@ from .errors import (
     StarViolation,
     TooLarge,
 )
-from .gf import Field
+from .gf import Field, config_int
 from .grassmann import (
     DISTANCE_CACHE_CAP,
     GrassmannGraph,
@@ -189,9 +189,7 @@ def embedding_from_json_obj(ps: PolarSpace, target_k: int, obj,
     n = target_n if target_n is not None else ps.ambient_dim
     images: list[Subspace | None] = [None] * len(ps.maximals)
     for entry in obj:
-        i = entry["source_index"]
-        if type(i) is not int:
-            raise ValueError(f"source_index {i!r} is not an integer")
+        i = config_int("source_index", entry["source_index"])
         M = Subspace.span(fieldq, field_entries(fieldq, entry["source_basis"]))
         if not (0 <= i < len(ps.maximals)) or ps.maximals[i] != M:
             raise DimensionMismatch(
@@ -206,14 +204,14 @@ def embedding_from_json_obj(ps: PolarSpace, target_k: int, obj,
 
 # -- verification ------------------------------------------------------------------
 
-def verify_isometric(e: Embedding, crosscheck: str | bool = "auto") -> dict:
+def verify_isometric(e: Embedding) -> dict:
     """Check that the embedding preserves every pairwise distance.
 
     Distances on the source side are m - dim(M1 ∩ M2) (certified once
     per polar space against BFS on the dual polar graph); on the target
     side k - dim(f(M1) ∩ f(M2)), cross-checked against BFS in the
-    Grassmann graph whenever the target is small enough to build
-    (``crosscheck=True`` forces it, ``False`` skips it).
+    Grassmann graph whenever the target has at most ``BFS_CROSSCHECK_CAP``
+    vertices.
 
     Raises NotInjective or DistanceViolation on the first failure;
     returns a small report dict on success.
@@ -231,10 +229,7 @@ def verify_isometric(e: Embedding, crosscheck: str | bool = "auto") -> dict:
         raise NotInjective("two maximals share an image")
 
     DS = ps.certified_distances
-    do_cross = crosscheck is True or (
-        crosscheck == "auto"
-        and gaussian_binomial(n, k, e.field.q) <= BFS_CROSSCHECK_CAP
-    )
+    do_cross = gaussian_binomial(n, k, e.field.q) <= BFS_CROSSCHECK_CAP
     if do_cross:
         G = grassmann_graph_cached(e.field, n, k)
         DT = G.distance_matrix
@@ -258,7 +253,7 @@ def verify_isometric(e: Embedding, crosscheck: str | bool = "auto") -> dict:
             f"Grassmann BFS distance disagrees with k - dim "
             f"intersection at image pair ({i}, {j})")
     e._verified = True
-    return {"pairs_checked": len(I), "bfs_crosschecked": bool(do_cross)}
+    return {"pairs_checked": len(I), "bfs_crosschecked": do_cross}
 
 
 # -- canonical construction ----------------------------------------------------------
@@ -722,8 +717,8 @@ def search_embeddings(ps: PolarSpace, n: int, k: int, anchor: bool = True,
     every level.  Raises TooLarge when the target has more than
     ``DISTANCE_CACHE_CAP`` vertices or the members pass
     ``_CENSUS_MEMBER_BYTES``.  The search runs in this process;
-    ``workers`` is accepted for compatibility and changes nothing,
-    neither the members nor the node count.
+    ``workers`` changes nothing, neither the members nor the node count,
+    and is kept only because the benchmark's census call passes it.
     """
     if n != ps.ambient_dim:
         raise AmbientMismatch(
@@ -873,10 +868,13 @@ def _fit_semilinear(fa: Embedding, fb: Embedding, budget_state: list[int],
     xs = np.stack([s.basis[0][piv_a] for s in Ra.point_map])
     ys = np.stack([s.basis[0][piv_b] for s in Rb.point_map])
 
-    lift_wb = QuotientSpace(w, Rb.w_prime).lift_matrix()
+    # a transversal of W' in W: the unit rows off its pivot columns, as
+    # in the lift matrix of W/W'
+    unit = np.eye(w, dtype=np.uint8)
+    lift_wb = np.delete(unit, piv_b, axis=0)
     lift_vb = Rb.quotient.lift_matrix()
     # the point-image span and a transversal, in W and lifted to V
-    D_W = np.vstack([Ba, QuotientSpace(w, Ra.w_prime).lift_matrix()])
+    D_W = np.vstack([Ba, np.delete(unit, piv_a, axis=0)])
     D_V = np.vstack([Ra.quotient.lift_matrix(), Ra.star_subspace.basis])
     # unknowns vec(A), then lambda_P; row P*r + i: x_P^(p^tau) at i*r.., -y_P[i] at r*r + P
     eq = np.arange(npts * r)
@@ -986,15 +984,13 @@ def _base_witness_pair(base: Embedding, e: Embedding, budget: int):
 
 
 def connecting_automorphism(f1: Embedding, f2: Embedding,
-                            budget: int = DEFAULT_WITNESS_BUDGET,
-                            full_verify: bool = False) -> EquivalenceWitness:
+                            budget: int = DEFAULT_WITNESS_BUDGET) -> EquivalenceWitness:
     """An explicit automorphism s with s(f1(M)) = f2(M) for every maximal.
 
     Queries against one source go through memoized witnesses to a common
     reference embedding and are composed exactly.  Every witness
     returned, fresh or composite, has been verified on the whole table
-    by :meth:`EquivalenceWitness.verify_on`; ``full_verify`` is accepted
-    for compatibility and has no effect.
+    by :meth:`EquivalenceWitness.verify_on`.
 
     Raises NotEquivalent when the structure-guided search exhausts all
     candidates, and SearchBudgetExceeded when it runs out of budget

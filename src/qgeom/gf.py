@@ -311,16 +311,29 @@ class Field:
         return f"GF({self.p}^{self.e}; modulus={list(self.modulus)})"
 
 
+def config_int(name: str, x) -> int:
+    """A config field that must be a JSON integer: a float, string or bool
+    is a ValueError, never truncated or parsed."""
+    if type(x) is not int:
+        raise ValueError(f"{name} {x!r} is not an integer")
+    return x
+
+
 def build_field(spec: dict | None = None, *, p: int | None = None, e: int = 1,
                 modulus=None, cap: int = DEFAULT_FIELD_CAP) -> Field:
     """Build a field from a config mapping like ``{"p": 2, "e": 2, "modulus": [1, 1, 1]}``.
 
-    Either pass the mapping or the keyword pieces directly.
+    Either pass the mapping or the keyword pieces directly.  In a mapping
+    ``p`` and ``e`` must be integers (:func:`config_int`) and every
+    modulus entry an integer in 0..p-1.
     """
     if spec is not None:
-        p = int(spec["p"])
-        e = int(spec.get("e", 1))
+        p = config_int("p", spec["p"])
+        e = config_int("e", spec.get("e", 1))
         modulus = spec.get("modulus")
+        for c in modulus or ():
+            if not (type(c) is int and 0 <= c < p):
+                raise ValueError(f"modulus entry {c!r} is not an integer in 0..{p - 1}")
     if p is None:
         raise NotPrime("field characteristic missing")
     return Field(p, e, modulus, cap=cap)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .subspace import (
     QuotientSpace,
     Subspace,
     annihilators,
+    iter_rref_batches,
     mat_mul,
     pairwise_intersection_dims,
 )
@@ -67,37 +67,6 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 
 
 # -- enumeration ----------------------------------------------------------------
-
-def iter_rref_batches(field: Field, n: int, k: int):
-    """Yield batches of RREF matrices, one batch per pivot-column pattern.
-
-    Every k-dim subspace of GF(q)^n appears exactly once across all
-    batches: distinct patterns give distinct pivot sets, and within a
-    pattern the free cells take every value combination.
-    """
-    q = field.q
-    if k == 0:
-        yield np.zeros((1, 0, n), dtype=np.uint8)
-        return
-    for pivots in combinations(range(n), k):
-        free = [
-            (i, j)
-            for i in range(k)
-            for j in range(pivots[i] + 1, n)
-            if j not in pivots
-        ]
-        f = len(free)
-        count = q**f
-        batch = np.zeros((count, k, n), dtype=np.uint8)
-        batch[:, np.arange(k), pivots] = 1
-        if f:
-            combos = np.array(
-                np.unravel_index(np.arange(count), (q,) * f), dtype=np.uint8
-            )
-            for t, (i, j) in enumerate(free):
-                batch[:, i, j] = combos[t]
-        yield batch
-
 
 def enum_grassmannian(field: Field, n: int, k: int,
                       cap: int = DEFAULT_ENUM_CAP) -> list[Subspace]:

@@ -38,7 +38,7 @@ from .errors import (
     RankZero,
     TooLarge,
 )
-from .gf import Field
+from .gf import Field, config_int
 from .grassmann import FiniteGraph
 from .subspace import (
     _PAIR_BLOCK_BYTES,
@@ -193,7 +193,7 @@ def build_form(field: Field, spec: dict) -> Form:
     return Form(
         field,
         str(spec["kind"]),
-        int(spec["form_dim"]),
+        config_int("form_dim", spec["form_dim"]),
         gram=spec.get("gram"),
         quad=spec.get("quad"),
     )

@@ -23,13 +23,21 @@ takes the table-driven path, which is also the packed paths'
 differential oracle in the tests; RREF bases are unique, so both give
 the same bytes.
 
-Entries are range-checked where data enters: every public function
-coerces and checks its matrix arguments.  :func:`_mat_mul`, the product
-behind :func:`mat_mul`, skips that check, for operands the library built
-and checked itself.
+The canonical RREF bases of all k-dim subspaces come from one
+enumeration, :func:`iter_rref_batches`, whose 1-dim batches are the
+projective point representatives.
+
+Entries are range-checked where data enters: every public matrix
+function coerces and checks its arguments (:func:`as_stack`), and an entry
+that is not an integer in 0..q-1 is a ValueError, never truncated or
+wrapped.  :func:`_mat_mul`, the product behind :func:`mat_mul`, skips
+that check, for operands the library built and checked itself.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -45,13 +53,6 @@ _ZEROS: dict = {}
 
 # -- raw matrix machinery -----------------------------------------------------
 
-def _beyond_uint8(field: Field, data) -> ValueError:
-    """The error for data whose conversion to uint8 overflowed (numpy 2
-    raises OverflowError for an integer outside 0..255)."""
-    bad = next(x for x in np.asarray(data, dtype=object).flat if not 0 <= x < 256)
-    return ValueError(f"entry {bad} out of range for {field}")
-
-
 def field_entries(field: Field, data) -> np.ndarray:
     """Entries read from a config (nested lists) as a uint8 array.  Each
     must be an integer in 0..q-1; a float, string or bool is rejected,
@@ -63,13 +64,24 @@ def field_entries(field: Field, data) -> np.ndarray:
     return A.astype(np.uint8)
 
 
+def _to_uint8(field: Field, data) -> np.ndarray:
+    """Data that is not already a uint8 array, as one.  Every entry must be
+    an integer in 0..q-1 before the cast: a float (even an integral one) or
+    a string is out of range, never truncated, and no integer wraps."""
+    A = np.asarray(data)
+    if A.dtype.kind not in "biu" or A.size and (
+            np.minimum.reduce(A, axis=None) < 0 or np.maximum.reduce(A, axis=None) >= field.q):
+        for x in np.asarray(data, dtype=object).flat:
+            if not (isinstance(x, (int, np.integer)) and 0 <= x < field.q):
+                raise ValueError(f"entry {x} out of range for {field}")
+    return A.astype(np.uint8)
+
+
 def as_stack(field: Field, data) -> np.ndarray:
     """Coerce to a uint8 matrix, or a stack of matrices along leading axes
-    (a vector is one row), and range-check entries."""
-    try:
-        A = np.asarray(data, dtype=np.uint8)
-    except OverflowError:
-        raise _beyond_uint8(field, data) from None
+    (a vector is one row), and range-check entries (see :func:`_to_uint8`
+    for data of any other type)."""
+    A = data if isinstance(data, np.ndarray) and data.dtype == np.uint8 else _to_uint8(field, data)
     if A.ndim == 1:
         A = A.reshape(1, -1)
     if A.ndim < 2:
@@ -507,12 +519,7 @@ class Subspace:
         """Canonical subspace spanned by the given row vectors.  On the
         packed GF(2) path it is born from its packed RREF rows
         (:meth:`_from_gf2`), which it keeps."""
-        try:
-            A = np.asarray(vectors, dtype=np.uint8)
-        except OverflowError:
-            raise _beyond_uint8(field, vectors) from None
-        if A.ndim == 1:
-            A = A.reshape(1, -1)
+        A = as_matrix(field, vectors)
         if A.size == 0:
             if ambient_dim is None:
                 raise DimensionMismatch("empty span needs an explicit ambient_dim")
@@ -521,7 +528,7 @@ class Subspace:
         if ambient_dim is not None and ambient_dim != n:
             raise AmbientMismatch(f"vectors of length {n} in ambient {ambient_dim}")
         if _packed_gf2(field, n):
-            words = _reduced_gf2(_echelon_gf2(_pack_gf2(as_matrix(field, A))))
+            words = _reduced_gf2(_echelon_gf2(_pack_gf2(A)))
             return cls._from_gf2(field, n, words)
         R, _ = rref(field, A)
         return cls(field, n, R) if len(R) else cls.zero(field, n)
@@ -597,13 +604,7 @@ class Subspace:
 
     def all_vectors(self) -> np.ndarray:
         """Every member vector, (q^dim, n); small dimensions only."""
-        q, d = self.field.q, self.dim
-        if d == 0:
-            return np.zeros((1, self.ambient_dim), dtype=np.uint8)
-        combos = np.array(
-            np.unravel_index(np.arange(q**d), (q,) * d), dtype=np.uint8
-        ).T
-        return mat_mul(self.field, combos, self.basis)
+        return mat_mul(self.field, _coefficient_rows(self.field.q, self.dim), self.basis)
 
     # -- lattice operations ----------------------------------------------------
 
@@ -764,9 +765,7 @@ def pairwise_intersection_dims(spaces: list[Subspace]) -> np.ndarray:
     bases = np.zeros((d, t, n), dtype=np.uint8)
     for i, s in enumerate(spaces):
         bases[:s.dim, i] = s.basis
-    combos = np.zeros((q**d, d), dtype=np.uint8)
-    if d:
-        combos[:] = np.array(np.unravel_index(np.arange(q**d), (q,) * d)).T
+    combos = _coefficient_rows(q, d)
     digits = q ** np.arange(n, dtype=np.int64)
     # table[w, i] = word w of the bitset of spaces[i]
     table = np.zeros((words, t), dtype=np.uint64)
@@ -808,27 +807,44 @@ def stack_bases(field: Field, spaces, ambient_dim: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=64)
+def _coefficient_rows(q: int, d: int) -> np.ndarray:
+    """The (q^d, d) uint8 array of every coefficient vector over GF(q), in
+    ascending lexicographic order (the last entry varies fastest).  Cached
+    and read-only: the same few tables recur in every enumeration."""
+    C = np.indices((q,) * d, dtype=np.uint8).reshape(d, q**d).T
+    C.setflags(write=False)
+    return C
+
+
+def iter_rref_batches(field: Field, n: int, k: int):
+    """Yield batches of RREF matrices, one batch per pivot-column pattern.
+
+    Every k-dim subspace of GF(q)^n appears exactly once across all
+    batches: distinct patterns give distinct pivot sets, and within a
+    pattern the free cells take every value combination, in ascending
+    lexicographic order of the free cells read row by row.
+    """
+    for pivots in combinations(range(n), k):
+        free = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n) if j not in pivots]
+        combos = _coefficient_rows(field.q, len(free))
+        batch = np.zeros((len(combos), k, n), dtype=np.uint8)
+        for i, j in enumerate(pivots):
+            batch[:, i, j] = 1
+        for t, (i, j) in enumerate(free):
+            batch[:, i, j] = combos[:, t]
+        yield batch
+
+
 def projective_point_reps(field: Field, n: int) -> np.ndarray:
     """Canonical representatives of all 1-dim subspaces of GF(q)^n.
 
-    Each row is the RREF representative (first nonzero entry 1), and
+    Each row is the RREF representative (first nonzero entry 1): the
+    1-dim batches of :func:`iter_rref_batches`, last pivot first, so the
     rows come out in ascending lexicographic order of the entry tuple,
-    so e_n is first and (1, *, ..., *) vectors come last.
+    e_n first and the (1, *, ..., *) vectors last.
     """
-    q = field.q
-    blocks = []
-    for lead in range(n - 1, -1, -1):
-        tail = n - 1 - lead
-        count = q**tail
-        block = np.zeros((count, n), dtype=np.uint8)
-        block[:, lead] = 1
-        if tail:
-            combos = np.array(
-                np.unravel_index(np.arange(count), (q,) * tail), dtype=np.uint8
-            ).T
-            block[:, lead + 1:] = combos
-        blocks.append(block)
-    return np.vstack(blocks)
+    return np.concatenate(list(iter_rref_batches(field, n, 1))[::-1]).reshape(-1, n)
 
 
 # -- quotient spaces -----------------------------------------------------------

@@ -178,8 +178,9 @@ def test_criterion_5_canonical_embedding(spaces):
     U = extract_star_subspace(e)
     assert U.dim == 1
     assert U == Subspace.span(GF2, [[0, 0, 0, 0, 1]])
-    report = verify_isometric(e, crosscheck=True)
+    report = verify_isometric(e)
     assert report["pairs_checked"] == 105
+    assert report["bfs_crosschecked"]
     with pytest.raises(NoValidU):
         canonical_embedding(spaces["symplectic"], 3)
     elapsed = time.time() - t0
@@ -258,7 +259,7 @@ def test_criterion_7_uniqueness_census(spaces):
             connecting_automorphism(ei, star[j])
             witnesses += 1
     for idx in rng.integers(0, len(star), size=200):
-        w = connecting_automorphism(base, star[int(idx)], full_verify=True)
+        w = connecting_automorphism(base, star[int(idx)])
         assert w.verify_on(base, star[int(idx)])
 
     # adversarial round trip: a transformed copy reconnects to the original
@@ -267,7 +268,7 @@ def test_criterion_7_uniqueness_census(spaces):
         s0 = EquivalenceWitness(GF2, _random_invertible(GF2, 5, rng))
         moved = Embedding(micro, 3,
                           [s0.apply_to_subspace(img) for img in base.images])
-        w = connecting_automorphism(base, moved, full_verify=True)
+        w = connecting_automorphism(base, moved)
         assert w.verify_on(base, moved)
 
     # ---- the parts of the criterion that are mathematically unattainable ----
@@ -286,7 +287,7 @@ def test_criterion_7_uniqueness_census(spaces):
         cross_connected = False
     # the flat family is itself coherent (dual-conjugated witnesses exist)
     for other in (flat[1], flat[len(flat) // 2], flat[-1]):
-        w = connecting_automorphism(flat[0], other, full_verify=True)
+        w = connecting_automorphism(flat[0], other)
         assert w.verify_on(flat[0], other)
 
     elapsed = time.time() - t0
@@ -342,14 +343,14 @@ def _run_cli(tmp_path, tag: str, argv: list[str], outputs: list[str]) -> dict:
 
 
 def test_criterion_9_determinism(tmp_path):
-    """Byte-identical machine outputs across fresh reruns and worker counts.
+    """Byte-identical machine outputs across fresh reruns.
 
-    Each representative command behind criteria 1-8 runs in independent
-    interpreter processes (so nothing is memoized across runs), twice
-    with one worker and once with four; all produced files must agree
-    byte for byte.  The census serialization covers criterion 7's heavy
-    artifact; its classification report is exercised on the in-regime
-    n = 2k instance where full certification fits the runtime envelope.
+    Each representative command behind criteria 1-8 runs twice, each time
+    in an independent interpreter process (so nothing is memoized across
+    runs); all produced files must agree byte for byte.  The census
+    serialization covers criterion 7's heavy artifact; its classification
+    report is exercised on the in-regime n = 2k instance where full
+    certification fits the runtime envelope.
     """
     t0 = time.time()
     jobs = {
@@ -358,44 +359,37 @@ def test_criterion_9_determinism(tmp_path):
              "--intersection-array", "--duality-check",
              "--export", "g6:{g6}", "--export", "csv:{csv}",
              "--export", "json:{json}", "--out", "{sum}"],
-            ["g6", "csv", "json", "sum"], True),
+            ["g6", "csv", "json", "sum"]),
         "polar": (
             ["polar", "--polar", cfg("h34.json"), "--n", "4",
              "--intersection-array", "--export", "g6:{g6}",
              "--export", "json:{json}", "--out", "{sum}"],
-            ["g6", "json", "sum"], False),
+            ["g6", "json", "sum"]),
         "canonical": (
             ["embed", "canonical", "--polar", cfg("w32.json"),
              "--n", "5", "--k", "3", "--out", "{out}"],
-            ["out"], False),
+            ["out"]),
         "analyze": (
             ["embed", "analyze", "--polar", cfg("w32.json"),
              "--n", "5", "--k", "3", "--out", "{out}"],
-            ["out"], False),
+            ["out"]),
         "search": (
             ["embed", "search", "--polar", cfg("w32.json"),
              "--n", "5", "--k", "3", "--out", "{out}"],
-            ["out"], True),
+            ["out"]),
         "classify": (
             ["embed", "classify", "--polar", cfg("w32.json"),
              "--n", "4", "--k", "2", "--out", "{out}"],
-            ["out"], True),
+            ["out"]),
     }
     compared = 0
-    for name, (argv, outputs, vary_workers) in jobs.items():
-        runs = [
-            _run_cli(tmp_path, f"{name}-a", ["--workers", "1"] + argv, outputs),
-            _run_cli(tmp_path, f"{name}-b", ["--workers", "1"] + argv, outputs),
-        ]
-        if vary_workers:
-            runs.append(
-                _run_cli(tmp_path, f"{name}-c", ["--workers", "4"] + argv,
-                         outputs))
-        for other in runs[1:]:
-            for key in runs[0]:
-                assert other[key] == runs[0][key], f"{name}:{key} differs"
-                compared += 1
+    for name, (argv, outputs) in jobs.items():
+        first = _run_cli(tmp_path, f"{name}-a", argv, outputs)
+        second = _run_cli(tmp_path, f"{name}-b", argv, outputs)
+        for key in first:
+            assert second[key] == first[key], f"{name}:{key} differs"
+            compared += 1
     elapsed = time.time() - t0
     assert elapsed < 600, f"runtime {elapsed:.1f}s over the budget"
     _report(9, True, f"{compared} artifact comparisons byte-identical across "
-                     f"fresh processes and worker counts [{elapsed:.1f}s]")
+                     f"fresh processes [{elapsed:.1f}s]")

@@ -351,6 +351,44 @@ def test_bad_source_index_is_a_config_error(value, tmp_path, capsys):
     assert captured.err == f"config error: source_index {value!r} is not an integer\n"
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"p": 2.9}, "p 2.9 is not an integer"),
+    ({"p": "3"}, "p '3' is not an integer"),
+    ({"p": 2, "e": True}, "e True is not an integer"),
+    ({"p": 2, "e": 2, "modulus": [1.5, 1, 1]}, "modulus entry 1.5 is not an integer in 0..1"),
+    ({"p": 2, "e": 2, "modulus": [3, 1, 1]}, "modulus entry 3 is not an integer in 0..1"),
+])
+def test_bad_field_number_is_a_config_error(config, message, tmp_path, capsys):
+    """p, e and the modulus entries are never truncated, parsed or reduced."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    assert run(["field", "--field", str(bad)]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("value", [4.0, 4.7, "4", True])
+def test_bad_form_dim_is_a_config_error(value, tmp_path, capsys):
+    obj = json.loads(read(cfg("w32.json")))
+    obj["form"]["form_dim"] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert run(["polar", "--polar", str(bad), "--n", "4"]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: form_dim {value!r} is not an integer\n"
+
+
+@pytest.mark.parametrize("option", [["--workers", "2"], ["--workers=2"]])
+def test_workers_option_is_a_usage_error(option, capsys):
+    assert run(option + ["grassmann", "--field", cfg("gf2.json"),
+                         "--n", "4", "--k", "2"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+
+
 def test_embed_search_output(tmp_path):
     out = tmp_path / "search.json"
     assert run(["embed", "search", "--polar", cfg("q42.json"),
@@ -367,9 +405,8 @@ def test_embed_search_output(tmp_path):
 def test_reruns_byte_identical(tmp_path):
     files1 = [tmp_path / f"a.{ext}" for ext in ("g6", "csv", "json")]
     files2 = [tmp_path / f"b.{ext}" for ext in ("g6", "csv", "json")]
-    for files, w in ((files1, "1"), (files2, "4")):
-        code = run(["--workers", w,
-                    "grassmann", "--field", cfg("gf3.json"), "--n", "4",
+    for files in (files1, files2):
+        code = run(["grassmann", "--field", cfg("gf3.json"), "--n", "4",
                     "--k", "2",
                     "--export", f"g6:{files[0]}",
                     "--export", f"csv:{files[1]}",

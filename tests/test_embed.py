@@ -77,7 +77,7 @@ def identity_inclusion(ps):
 def test_identity_inclusion_is_isometric(w32_in_4):
     e = identity_inclusion(w32_in_4)
     assert tuple(e.images) == w32_in_4.maximals
-    report = verify_isometric(e, crosscheck=True)
+    report = verify_isometric(e)
     assert report["pairs_checked"] == 15 * 14 // 2
     assert report["bfs_crosschecked"]
 
@@ -318,7 +318,7 @@ def test_reconnect_linear_transform(w32_in_5):
         s0 = EquivalenceWitness(GF2, random_invertible(GF2, 5, rng))
         f2 = transformed_copy(e, s0)
         verify_isometric(f2)
-        w = connecting_automorphism(e, f2, full_verify=True)
+        w = connecting_automorphism(e, f2)
         # the witness need not equal s0 entrywise, only in action
         assert w.verify_on(e, f2)
 
@@ -330,7 +330,7 @@ def test_reconnect_semilinear_transform(hermitian_4):
     s0 = EquivalenceWitness(GF4, random_invertible(GF4, 4, rng), frob_power=1)
     f2 = transformed_copy(e, s0)
     verify_isometric(f2)
-    w = connecting_automorphism(e, f2, full_verify=True)
+    w = connecting_automorphism(e, f2)
     assert w.verify_on(e, f2)
 
 
@@ -342,7 +342,7 @@ def test_reconnect_duality_composed_transform(w32_in_4):
     s0 = EquivalenceWitness(GF2, random_invertible(GF2, 4, rng), dual=True)
     f2 = transformed_copy(e, s0)
     verify_isometric(f2)
-    w = connecting_automorphism(e, f2, full_verify=True)
+    w = connecting_automorphism(e, f2)
     assert w.verify_on(e, f2)
 
 
@@ -455,7 +455,7 @@ def test_micro_census_splits_into_two_families(w32_in_5, micro_census):
 
     flat = next(e for e in res.embeddings
                 if multi_intersection(list(e.images)).dim == 0)
-    verify_isometric(flat, crosscheck=True)
+    assert verify_isometric(flat)["bfs_crosschecked"]
     with pytest.raises(LemmaViolation):
         extract_star_subspace(flat)
 
@@ -485,7 +485,7 @@ def test_micro_census_splits_into_two_families(w32_in_5, micro_census):
     flats = [e for e in res.embeddings
              if multi_intersection(list(e.images)).dim == 0]
     for other in (flats[1], flats[5000], flats[-1]):
-        w = connecting_automorphism(flat, other, full_verify=True)
+        w = connecting_automorphism(flat, other)
         assert w.verify_on(flat, other)
         assert not w.dual
 
@@ -501,7 +501,7 @@ def test_micro_star_family_members_pass_pipeline(w32_in_5, micro_census):
         sr = analyze_embedding(e)
         assert sr.star_subspace.dim == 1
         assert sr.lines_ok
-        w = connecting_automorphism(base, e, full_verify=True)
+        w = connecting_automorphism(base, e)
         assert w.verify_on(base, e)
 
 

@@ -3,11 +3,14 @@ import pytest
 
 from qgeom.errors import AmbientMismatch, DimensionMismatch, FieldMismatch
 from qgeom.gf import Field
+from qgeom import grassmann
 from qgeom.grassmann import enum_grassmannian
 from qgeom.subspace import (
     QuotientSpace,
     Subspace,
+    as_stack,
     invert_matrix,
+    iter_rref_batches,
     mat_frobenius,
     mat_mul,
     multi_intersection,
@@ -84,11 +87,45 @@ def test_rank_gf2_fast_path_range_check():
 
 @pytest.mark.parametrize("value", [300, -1])
 def test_entries_beyond_uint8_are_out_of_range(value):
-    """numpy raises OverflowError for a Python int outside uint8; the
-    coercion reports it as the usual out-of-range ValueError."""
+    """An integer outside uint8 is the usual out-of-range ValueError, not
+    numpy's OverflowError and never a wrapped value."""
     for make in (lambda A: rank(GF2, A), lambda A: Subspace.span(GF2, A)):
         with pytest.raises(ValueError, match=f"^entry {value} out of range for GF\\(2\\)$"):
             make([[1, 0], [0, value]])
+
+
+@pytest.mark.parametrize("call, entry", [
+    (lambda: rank(GF2, [[1.0, 0.5]]), "1.0"),
+    (lambda: rank(GF2, [[1, 0.5]]), "0.5"),
+    (lambda: rref(GF3, [[2.9, 1]]), "2.9"),
+    (lambda: Subspace.span(GF3, [[0.5, 2.7]]), "0.5"),
+    (lambda: mat_mul(GF2, np.eye(2), np.eye(2, dtype=np.uint8)), "1.0"),
+    (lambda: as_stack(GF3, np.array([["1", "0"]])), "1"),
+])
+def test_non_integer_entries_are_out_of_range(call, entry):
+    """A float entry, even an integral one, or a string is never truncated
+    or parsed: it is the usual out-of-range ValueError."""
+    with pytest.raises(ValueError, match=f"^entry {entry} out of range for GF\\([23]\\)$"):
+        call()
+
+
+def test_integer_arrays_are_range_checked_before_the_cast():
+    """An int64 entry past 255 does not wrap; in-range integer and bool
+    arrays give the same result as uint8."""
+    with pytest.raises(ValueError, match="^entry 256 out of range for GF\\(2\\)$"):
+        rank(GF2, np.array([[256, 0], [0, 1]]))
+    with pytest.raises(ValueError, match="^entry -2 out of range for GF\\(3\\)$"):
+        Subspace.span(GF3, np.array([[1, -2]]))
+    A = np.array([[1, 2, 0], [2, 1, 1]])
+    assert as_stack(GF3, A).dtype == np.uint8
+    assert Subspace.span(GF3, A) == Subspace.span(GF3, A.astype(np.uint8))
+    assert rank(GF2, np.array([[True, False], [True, True]])) == 2
+    assert Subspace.span(GF2, [], 3) == Subspace.zero(GF2, 3)
+
+
+def test_uint8_input_is_not_copied():
+    A = np.array([[1, 0, 1]], dtype=np.uint8)
+    assert as_stack(GF2, A) is A
 
 
 def test_span_canonical_across_generating_sets():
@@ -278,6 +315,35 @@ def test_projective_point_reps_canonical_and_ordered():
                 assert prev < tup
             prev = tup
         assert len(seen) == reps.shape[0]
+
+
+def test_projective_point_reps_are_the_one_dim_batches():
+    """Last pivot first, the 1-dim RREF batches are the point reps."""
+    assert projective_point_reps(GF3, 2).tolist() == [[0, 1], [1, 0], [1, 1], [1, 2]]
+    for f, n in [(GF2, 5), (GF3, 4), (GF4, 3)]:
+        batches = list(iter_rref_batches(f, n, 1))
+        assert [b.shape for b in batches] == [(f.q ** (n - 1 - p), 1, n) for p in range(n)]
+        assert np.array_equal(projective_point_reps(f, n),
+                              np.vstack([b[:, 0] for b in reversed(batches)]))
+    assert grassmann.iter_rref_batches is iter_rref_batches
+
+
+def test_rref_batches_cover_the_grassmannian_once():
+    for f, n, k in [(GF2, 4, 0), (GF2, 4, 2), (GF3, 4, 2), (GF4, 3, 3), (GF2, 5, 3)]:
+        mats = np.concatenate(list(iter_rref_batches(f, n, k)))
+        assert mats.shape[1:] == (k, n) and mats.dtype == np.uint8
+        assert sorted(Subspace(f, n, m) for m in mats) == enum_grassmannian(f, n, k)
+        for m in mats:
+            assert rref(f, m)[0].tolist() == m.tolist()
+
+
+def test_all_vectors_in_lexicographic_coefficient_order():
+    assert Subspace.zero(GF3, 2).all_vectors().tolist() == [[0, 0]]
+    S = Subspace.span(GF3, [[1, 0, 2], [0, 1, 1]])
+    vecs = S.all_vectors()
+    assert vecs.tolist() == [mat_mul(GF3, [[a, b]], S.basis)[0].tolist()
+                             for a in range(3) for b in range(3)]
+    assert len({v.tobytes() for v in vecs}) == 9
 
 
 def test_invert_matrix():
