@@ -70,7 +70,6 @@ from .subspace import (
     annihilators,
     as_matrix,
     field_entries,
-    reduce_rows_against,
     invert_matrix,
     mat_frobenius,
     mat_mul,
@@ -144,6 +143,8 @@ class Embedding:
         RREF bases (zero rows after each), the (t, n, n) uint8 residual
         maps (x R[i] is what elimination by the basis of image i leaves of
         x, zero exactly for x in the image) and the image dimensions.
+        R[i] = I - E B[i], E placing row j at the j-th pivot column, is the
+        transpose of the kernel rows of B[i] (:func:`_kernel_rows`).
 
         The bases and dimensions are memoized on their own, and they are
         all that verification and the structural analysis read; the
@@ -152,9 +153,7 @@ class Embedding:
         its target."""
         if self._stack is None:
             B, dims = self._stacked_bases()
-            # a zero row takes pivot 0 and eliminates nothing
-            R = reduce_rows_against(self.field, B, (B != 0).argmax(axis=2),
-                                    np.eye(self.target_n, dtype=np.uint8)[None])
+            R = _kernel_rows(self.field, B)[0].transpose(0, 2, 1)
             R.setflags(write=False)
             self._stack = (B, R, dims)
         return self._stack
@@ -848,49 +847,51 @@ def _fit_semilinear(fa: Embedding, fb: Embedding, budget_state: list[int],
                     budget: int) -> Iterator[EquivalenceWitness]:
     """Candidate semilinear witnesses fa -> fb, in order; structure-guided.
 
-    The induced point maps pin the witness on the span of the point
-    images: solving A x_P^(p^t) = lambda_P y_P exactly (a linear system
-    in A and the lambdas) recovers the collineation, and any transversal
-    correspondence completes it off that span.  The candidates are not
-    verified: the caller checks each on the embedding tables.
+    The induced point maps pin the witness on the span W' of the point
+    images: A x_P^(p^t) lies in <y_P> exactly when h . A x_P^(p^t) = 0 for
+    each kernel row h of y_P (:func:`_kernel_rows`; y_P leads with 1, so it
+    is its own RREF), r - 1 equations per point in the r^2 entries of A.
+    Every nonzero solution of rank r is a candidate collineation, and one
+    transversal correspondence completes it off W' and lifts it through
+    the two quotients to V.  The candidates are not verified: the caller
+    checks each on the embedding tables.
     """
     f = fa.field
     Ra = analyze_embedding(fa)
     Rb = analyze_embedding(fb)
-    w = Ra.quotient.dim
     r = Ra.w_prime.dim
     if r != Rb.w_prime.dim:
         return
-    npts = len(Ra.point_map)
     Ba, piv_a = Ra.w_prime.basis, Ra.w_prime.pivots
     Bb, piv_b = Rb.w_prime.basis, Rb.w_prime.pivots
     # for RREF bases, coordinates are read off the pivot columns
     xs = np.stack([s.basis[0][piv_a] for s in Ra.point_map])
     ys = np.stack([s.basis[0][piv_b] for s in Rb.point_map])
+    V, pivots = _kernel_rows(f, ys[:, None, :])
+    # the kernel rows h of every y_P, and the point P of each
+    P, free = np.nonzero(~pivots)
+    h = V[P, free]
 
-    # a transversal of W' in W: the unit rows off its pivot columns, as
-    # in the lift matrix of W/W'
-    unit = np.eye(w, dtype=np.uint8)
-    lift_wb = np.delete(unit, piv_b, axis=0)
-    lift_vb = Rb.quotient.lift_matrix()
-    # the point-image span and a transversal, in W and lifted to V
-    D_W = np.vstack([Ba, np.delete(unit, piv_a, axis=0)])
-    D_V = np.vstack([Ra.quotient.lift_matrix(), Ra.star_subspace.basis])
-    # unknowns vec(A), then lambda_P; row P*r + i: x_P^(p^tau) at i*r.., -y_P[i] at r*r + P
-    eq = np.arange(npts * r)
-    P, i = np.divmod(eq, r)
-    cols = np.column_stack([i[:, None] * r + np.arange(r), r * r + P])
-    neg_ys = f.neg_table[ys[P, i]]
+    # sigma maps the rows of D^(p^t) to the rows of T: W' by A, the unit rows
+    # off its pivot columns (a transversal of W' in W) to their counterparts,
+    # both lifted to V, and the star subspace U to U
+    unit = np.eye(Ra.quotient.dim, dtype=np.uint8)
+    D = np.vstack([_mat_mul(f, np.vstack([Ba, np.delete(unit, piv_a, axis=0)]),
+                            Ra.quotient.lift_matrix()), Ra.star_subspace.basis])
+    lift_b = Rb.quotient.lift_matrix()
+    lift_Bb = _mat_mul(f, Bb, lift_b)
+    T_rest = np.vstack([_mat_mul(f, np.delete(unit, piv_b, axis=0), lift_b),
+                        Rb.star_subspace.basis])
 
     for tau in range(f.e):
-        system = np.zeros((npts * r, r * r + npts), dtype=np.uint8)
-        system[eq[:, None], cols] = np.column_stack([f.frob_table[tau][xs][P], neg_ys])
+        # row (P, h), column i*r + j: h_i x_P[j]^(p^tau), the coefficient of A[i, j]
+        x = f.frob_table[tau][xs][P]
+        system = f.mul_table[h[:, :, None], x[:, None, :]].reshape(len(P), r * r)
         kernel = nullspace(f, system)
         if kernel.shape[0] == 0:
             continue
         K = Subspace(f, kernel.shape[1], kernel)
-        inv_W = invert_matrix(f, mat_frobenius(f, D_W, tau).T)
-        inv_V = invert_matrix(f, mat_frobenius(f, D_V, tau).T)
+        inv = invert_matrix(f, mat_frobenius(f, D, tau).T)
         for u in K.all_vectors():
             if not u.any():
                 continue
@@ -898,19 +899,11 @@ def _fit_semilinear(fa: Embedding, fb: Embedding, budget_state: list[int],
             if budget_state[0] > budget:
                 raise SearchBudgetExceeded(
                     f"witness search passed {budget} candidates")
-            lam = u[r * r:]
-            if (lam == 0).any():
-                continue
-            A = u[: r * r].reshape(r, r)
+            A = u.reshape(r, r)
             if rank(f, A) < r:
                 continue
-            # sigma on W: point-image span via A, any transversal beyond
-            T_W = np.vstack([mat_mul(f, A.T, Bb), lift_wb])
-            M_W = mat_mul(f, T_W.T, inv_W)
-            # lift to V through the two quotient transversals
-            T_V = np.vstack([mat_mul(f, M_W.T, lift_vb), Rb.star_subspace.basis])
-            M_V = mat_mul(f, T_V.T, inv_V)
-            yield EquivalenceWitness(f, M_V, tau, dual=False)
+            T = np.vstack([_mat_mul(f, A.T, lift_Bb), T_rest])
+            yield EquivalenceWitness(f, _mat_mul(f, T.T, inv), tau, dual=False)
 
 
 _STRUCTURE_FAILURES = (LemmaViolation, EmptyIntersection, PartialLine,

@@ -44,6 +44,7 @@ from .subspace import (
     _PAIR_BLOCK_BYTES,
     Subspace,
     as_matrix,
+    as_stack,
     field_entries,
     mat_mul,
     nullspace,
@@ -128,7 +129,7 @@ class Form:
     # -- evaluation ---------------------------------------------------------
 
     def _prefix(self, x) -> np.ndarray:
-        v = np.asarray(x, dtype=np.uint8).reshape(-1)
+        v = as_stack(self.field, x).reshape(-1)
         if v.shape[0] < self.form_dim:
             raise AmbientMismatch(
                 f"vector of length {v.shape[0]} below form_dim {self.form_dim}")
@@ -174,7 +175,7 @@ class Form:
         to zero against row i.  Vectorized helper for the construction
         loops below.
         """
-        V = np.asarray(vectors, dtype=np.uint8)[:, : self.form_dim]
+        V = as_matrix(self.field, vectors)[:, : self.form_dim]
         if self.kind == "hermitian":
             V = self.field.frob_table[self.field.e // 2][V]
         return mat_mul(self.field, V, self._bilinear.T)

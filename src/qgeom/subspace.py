@@ -23,6 +23,12 @@ takes the table-driven path, which is also the packed paths'
 differential oracle in the tests; RREF bases are unique, so both give
 the same bytes.
 
+The kernel rows e_f - sum_i R[i, f] e_{p_i} of an RREF basis R, one
+per free column f, are written down without an elimination by two
+helpers: :func:`_kernel_gf2` on packed rows and :func:`_kernel_rows` on
+stacks of arrays, which gives :func:`nullspace`, :func:`nullspace_stack`
+and :class:`QuotientSpace` their kernels.
+
 The canonical RREF bases of all k-dim subspaces come from one
 enumeration, :func:`iter_rref_batches`, whose 1-dim batches are the
 projective point representatives.
@@ -336,23 +342,12 @@ def pair_rank_stack(field: Field, A: np.ndarray, B: np.ndarray, I, J) -> np.ndar
     return out
 
 
-def _free_rows(field: Field, R: np.ndarray, pivots: list[int], n: int):
-    """The free columns f of the RREF rows R, ascending, and the kernel
-    basis rows e_f - sum_i R[i, f] e_{p_i} (1 at f, 0 at the other f)."""
-    free = sorted(set(range(n)).difference(pivots))
-    K = np.eye(n, dtype=np.uint8)[free]
-    K[:, pivots] = field.neg_table[R[:, free]].T
-    return free, K
-
-
 def nullspace(field: Field, mat) -> np.ndarray:
     """RREF basis of ``{x : mat @ x = 0}``, as rows, by one elimination: the
     rref of mat with its columns reversed, as in :func:`nullspace_stack`."""
     A = as_matrix(field, mat)
-    R, piv = rref(field, A[:, ::-1])
-    if len(piv) == A.shape[1]:
-        return np.zeros((0, A.shape[1]), dtype=np.uint8)
-    return np.ascontiguousarray(_free_rows(field, R, piv, A.shape[1])[1][::-1, ::-1])
+    V, pivots = _kernel_rows(field, rref(field, A[:, ::-1])[0][None])
+    return np.ascontiguousarray(V[0, ~pivots[0]][::-1, ::-1])
 
 
 def _kernel_rows(field: Field, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -360,7 +355,7 @@ def _kernel_rows(field: Field, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     each), no elimination: (V, pivots), V of shape (B, n, n) whose row j of
     member b is e_j - sum_i R[b, i, j] e_{p_i} for a free column j and zero
     for a pivot column, pivots the (B, n) pivot-column mask.  The free rows
-    of a member are a basis of {x : R[b] x = 0}, as in :func:`_free_rows`."""
+    of a member, in column order, are a basis of {x : R[b] x = 0}."""
     B, _, n = R.shape
     V = np.zeros((B, n, n), dtype=np.uint8)
     pivots = np.zeros((B, n), dtype=bool)
@@ -385,7 +380,7 @@ def nullspace_stack(field: Field, stack) -> tuple[np.ndarray, np.ndarray]:
     at distinct columns and vanish on each other's, so sorted they are the
     kernel's RREF basis.
     """
-    S = np.asarray(stack, dtype=np.uint8)
+    S = as_stack(field, stack)
     R, _, ranks = rref_stack(field, S[:, :, ::-1] if S.ndim == 3 else S)
     V, pivots = _kernel_rows(field, R)
     order = np.argsort(pivots[:, ::-1], axis=1, kind="stable")
@@ -588,7 +583,7 @@ class Subspace:
         return self._pivots
 
     def contains_vector(self, v) -> bool:
-        w = np.asarray(v, dtype=np.uint8).reshape(1, -1)
+        w = as_stack(self.field, v).reshape(1, -1)
         return not reduce_rows_against(self.field, self.basis, self.pivots, w).any()
 
     def contains(self, other: "Subspace") -> bool:
@@ -854,9 +849,10 @@ class QuotientSpace:
 
     The coordinate model keeps the non-pivot columns of U's RREF basis
     as a transversal, so W is literally GF(q)^(n - dim U) and all the
-    matrix machinery above applies unchanged.  ``project`` sends a
-    subspace S of V to (S + U)/U; ``lift_vector`` is the section with
-    zeros on the pivot columns, and project(lift(w)) = w.
+    matrix machinery above applies unchanged; the coordinate map's rows
+    are the kernel rows of U's basis (:func:`_kernel_rows`).  ``project``
+    sends a subspace S of V to (S + U)/U; ``lift_vector`` is the section
+    with zeros on the pivot columns, and project(lift(w)) = w.
     """
 
     __slots__ = ("field", "ambient_dim", "mod_out", "dim", "coordinate_map",
@@ -870,16 +866,16 @@ class QuotientSpace:
         self.field = field
         self.ambient_dim = ambient_dim
         self.mod_out = mod_out
-        transversal, cmap = _free_rows(field, mod_out.basis, mod_out.pivots,
-                                       ambient_dim)
-        self.dim = len(transversal)
-        self._transversal = transversal
+        V, pivots = _kernel_rows(field, mod_out.basis[None])
+        self._transversal = np.flatnonzero(~pivots[0])
+        self.dim = len(self._transversal)
+        cmap = V[0, self._transversal]
         cmap.setflags(write=False)
         self.coordinate_map = cmap
 
     def project_vector(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=np.uint8).reshape(-1, 1)
-        return mat_mul(self.field, self.coordinate_map, v).reshape(-1)
+        v = as_stack(self.field, v).reshape(-1, 1)
+        return _mat_mul(self.field, self.coordinate_map, v).reshape(-1)
 
     def project(self, S: Subspace) -> Subspace:
         """Image (S + U)/U as a canonical subspace of GF(q)^dim."""
@@ -891,7 +887,7 @@ class QuotientSpace:
         return Subspace.span(self.field, img, self.dim)
 
     def lift_vector(self, w) -> np.ndarray:
-        w = np.asarray(w, dtype=np.uint8).reshape(-1)
+        w = as_stack(self.field, w).reshape(-1)
         if w.shape[0] != self.dim:
             raise DimensionMismatch(f"expected length {self.dim}, got {w.shape[0]}")
         v = np.zeros(self.ambient_dim, dtype=np.uint8)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -414,6 +415,33 @@ def test_reruns_byte_identical(tmp_path):
         assert code == 0
     for a, b in zip(files1, files2):
         assert read(a) == read(b)
+
+
+# SHA-256 of the --out files of `embed canonical` and `embed analyze`,
+# recorded before the witness fit and the quotient shared one kernel-row
+# construction
+GOLDEN_OUT_DIGESTS = {
+    ("canonical", "w32.json", 5, 3):
+        "98d1c2f9252152ca817540df1172d84d9f9a8f56f6e92328531ac380d2a0f48e",
+    ("analyze", "w32.json", 5, 3):
+        "a4e66dd5879c06ebb3756ae68e3ed19d70bc39a9e87bd1e4b11d3cb9778ea8f3",
+    ("canonical", "q42.json", 5, 2):
+        "c203cf8e93b0730c1390107709820e6c3eb676bc0e43b17b5c1fd8289c26c149",
+    ("analyze", "q42.json", 5, 2):
+        "26bb6635dc2ad961cc04cd1db7a1843cb5ce14b8234599d2832a3a779d515783",
+    ("canonical", "h34.json", 4, 2):
+        "b3194bb6ce3ce8c2e81314ea6148a2fd27180541767eb1c630efd89ae3fb8281",
+    ("analyze", "h34.json", 4, 2):
+        "2aa3a6998c314d78ec2b4d6594bce0a6139286390ff82465fa502a9f37c8d7dd",
+}
+
+
+@pytest.mark.parametrize("action,polar,n,k", sorted(GOLDEN_OUT_DIGESTS))
+def test_embed_out_files_match_golden_digests(action, polar, n, k, tmp_path):
+    out = tmp_path / "out.json"
+    assert run(["embed", action, "--polar", cfg(polar), "--n", str(n),
+                "--k", str(k), "--out", str(out)]) == 0
+    assert hashlib.sha256(read(out)).hexdigest() == GOLDEN_OUT_DIGESTS[(action, polar, n, k)]
 
 
 def test_entry_point_subprocess(tmp_path):

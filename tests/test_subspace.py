@@ -5,6 +5,7 @@ from qgeom.errors import AmbientMismatch, DimensionMismatch, FieldMismatch
 from qgeom.gf import Field
 from qgeom import grassmann
 from qgeom.grassmann import enum_grassmannian
+from qgeom.polar import Form
 from qgeom.subspace import (
     QuotientSpace,
     Subspace,
@@ -15,6 +16,7 @@ from qgeom.subspace import (
     mat_mul,
     multi_intersection,
     nullspace,
+    nullspace_stack,
     projective_point_reps,
     rank,
     rref,
@@ -126,6 +128,30 @@ def test_integer_arrays_are_range_checked_before_the_cast():
 def test_uint8_input_is_not_copied():
     A = np.array([[1, 0, 1]], dtype=np.uint8)
     assert as_stack(GF2, A) is A
+
+
+E1_GF3 = Subspace.span(GF3, [[1, 0, 0]])
+FORM_GF3 = Form(GF3, "alternating", 2, gram=[[0, 1], [2, 0]])
+VECTOR_ENTRY_POINTS = {
+    "nullspace_stack": lambda x: nullspace_stack(GF3, np.array([[[x, 0, 0]]]))[0],
+    "contains_vector": lambda x: E1_GF3.contains_vector(np.array([x, 0, 0])),
+    "project_vector": lambda x: QuotientSpace(3, E1_GF3).project_vector(np.array([x, 2, 1])),
+    "lift_vector": lambda x: QuotientSpace(3, E1_GF3).lift_vector(np.array([x, 0])),
+    "evaluate": lambda x: FORM_GF3.evaluate(np.array([x, 0]), [0, 1]),
+    "orthogonal_profile": lambda x: FORM_GF3.orthogonal_profile(np.array([[x, 0]])),
+}
+
+
+@pytest.mark.parametrize("entry_point", sorted(VECTOR_ENTRY_POINTS))
+def test_vector_entry_points_are_range_checked(entry_point):
+    """A float is not truncated and an int64 past 255 does not wrap: both
+    are the usual out-of-range ValueError; in range, an int64 array gives
+    what the same uint8 array gives."""
+    call = VECTOR_ENTRY_POINTS[entry_point]
+    for bad in (1.7, 257):
+        with pytest.raises(ValueError, match=f"^entry {bad} out of range for GF\\(3\\)$"):
+            call(bad)
+    assert np.array_equal(call(np.int64(2)), call(np.uint8(2)))
 
 
 def test_span_canonical_across_generating_sets():

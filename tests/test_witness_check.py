@@ -6,7 +6,9 @@ the former loop over pivots; ``EquivalenceWitness.verify_on`` against
 the former one-image check ``maps_onto`` applied to every image.  A
 composite witness that is right on the first image only must not get
 past ``connecting_automorphism``, and the witnesses themselves are held
-to SHA-256 digests recorded before the whole-table check came in.
+to SHA-256 digests recorded before the whole-table check came in.  The
+witness fit, which solves for the collineation A alone, is checked
+against the former system in A and one scalar per point, copied below.
 """
 
 import hashlib
@@ -15,9 +17,14 @@ import json
 import numpy as np
 import pytest
 
+from qgeom import embed
 from qgeom.embed import (
+    _STRUCTURE_FAILURES,
     Embedding,
     EquivalenceWitness,
+    _dualized,
+    _fit_semilinear,
+    analyze_embedding,
     canonical_embedding,
     classify_embeddings,
     connecting_automorphism,
@@ -29,7 +36,10 @@ from qgeom.polar import Form, build_polar_space
 from qgeom.subspace import (
     Subspace,
     invert_matrix,
+    mat_frobenius,
     mat_mul,
+    multi_intersection,
+    nullspace,
     rank,
     reduce_rows_against,
 )
@@ -410,3 +420,123 @@ def test_witness_search_stops_at_its_budget(spaces):
         connecting_automorphism(f0, e, budget=0)
     assert e._base_witness is None
     assert connecting_automorphism(f0, e).verify_on(f0, e)
+
+
+# ---------------------------------------------------------------------------
+# the witness fit against the former system in A and one lambda per point
+# ---------------------------------------------------------------------------
+
+def lambda_fit(fa, fb, budget_state, kernels):
+    """The former fit: A x_P^(p^t) = lambda_P y_P as one linear system in
+    vec(A) and the lambdas, and sigma built on W before it is lifted to V.
+    Appends each tau's kernel RREF to kernels."""
+    f = fa.field
+    Ra = analyze_embedding(fa)
+    Rb = analyze_embedding(fb)
+    w = Ra.quotient.dim
+    r = Ra.w_prime.dim
+    if r != Rb.w_prime.dim:
+        return
+    npts = len(Ra.point_map)
+    Ba, piv_a = Ra.w_prime.basis, Ra.w_prime.pivots
+    Bb, piv_b = Rb.w_prime.basis, Rb.w_prime.pivots
+    xs = np.stack([s.basis[0][piv_a] for s in Ra.point_map])
+    ys = np.stack([s.basis[0][piv_b] for s in Rb.point_map])
+    unit = np.eye(w, dtype=np.uint8)
+    lift_wb = np.delete(unit, piv_b, axis=0)
+    lift_vb = Rb.quotient.lift_matrix()
+    D_W = np.vstack([Ba, np.delete(unit, piv_a, axis=0)])
+    D_V = np.vstack([Ra.quotient.lift_matrix(), Ra.star_subspace.basis])
+    eq = np.arange(npts * r)
+    P, i = np.divmod(eq, r)
+    cols = np.column_stack([i[:, None] * r + np.arange(r), r * r + P])
+    neg_ys = f.neg_table[ys[P, i]]
+    for tau in range(f.e):
+        system = np.zeros((npts * r, r * r + npts), dtype=np.uint8)
+        system[eq[:, None], cols] = np.column_stack([f.frob_table[tau][xs][P], neg_ys])
+        kernel = nullspace(f, system)
+        kernels.append(kernel)
+        if kernel.shape[0] == 0:
+            continue
+        K = Subspace(f, kernel.shape[1], kernel)
+        inv_W = invert_matrix(f, mat_frobenius(f, D_W, tau).T)
+        inv_V = invert_matrix(f, mat_frobenius(f, D_V, tau).T)
+        for u in K.all_vectors():
+            if not u.any():
+                continue
+            budget_state[0] += 1
+            lam = u[r * r:]
+            if (lam == 0).any():
+                continue
+            A = u[: r * r].reshape(r, r)
+            if rank(f, A) < r:
+                continue
+            T_W = np.vstack([mat_mul(f, A.T, Bb), lift_wb])
+            M_W = mat_mul(f, T_W.T, inv_W)
+            T_V = np.vstack([mat_mul(f, M_W.T, lift_vb), Rb.star_subspace.basis])
+            M_V = mat_mul(f, T_V.T, inv_V)
+            yield EquivalenceWitness(f, M_V, tau, dual=False)
+
+
+def fit_sides(spaces):
+    """The sides of the fits behind WITNESS_DIGESTS (the canonical
+    embedding against each seeded image) and the micro's flat family on
+    the dual strategy (its first member's dual against three others')."""
+    for name, n, k in CASES:
+        field = POLAR[name][0]
+        e = canonical_embedding(spaces[(name, n)], k)
+        rng = np.random.default_rng(1000 + n * 10 + field.q)
+        for i in range(6):
+            w = random_witness(field, n, rng, n == 2 * k and i % 2)
+            yield f"{name} {n} {k} #{i}", e, transformed_copy(e, w)
+    ps = spaces[("W(3,2)", 5)]
+    res = search_embeddings(ps, 5, 3)
+    verts, flats = res.target.vertices, []
+    for row in res.members.tolist():
+        e = Embedding(ps, 3, [verts[i] for i in row])
+        if multi_intersection(list(e.images)).dim == 0:
+            flats.append(e)
+            if len(flats) == 4:
+                break
+    for i, other in enumerate(flats[1:]):
+        yield f"micro flat dual #{i}", _dualized(flats[0]), _dualized(other)
+
+
+def run_fit(fit, fa, fb, *args):
+    """(witnesses as (matrix bytes, frobenius power), budget used), or the
+    type of the structure failure that stopped the fit."""
+    budget_state = [0]
+    try:
+        out = [(w.matrix.tobytes(), w.frob_power) for w in fit(fa, fb, budget_state, *args)]
+    except _STRUCTURE_FAILURES as exc:
+        return type(exc)
+    return out, budget_state[0]
+
+
+def test_fit_for_a_alone_matches_the_lambda_system(spaces, monkeypatch):
+    """For every tau, the kernel of the system in A alone is the first r^2
+    columns of the former kernel's RREF, so the fit spends the same budget
+    on the same candidates and yields the same witnesses."""
+    fitted = 0
+    for name, fa, fb in fit_sides(spaces):
+        want_kernels, got_kernels = [], []
+        want = run_fit(lambda_fit, fa, fb, want_kernels)
+
+        def recording(field, system):
+            got_kernels.append(nullspace(field, system))
+            return got_kernels[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(embed, "nullspace", recording)
+            got = run_fit(_fit_semilinear, fa, fb, 10**9)
+        assert got == want, name
+        assert len(got_kernels) == len(want_kernels), name
+        if not want_kernels:
+            continue
+        r = analyze_embedding(fa).w_prime.dim
+        for tau, (k_got, k_want) in enumerate(zip(got_kernels, want_kernels)):
+            assert k_got.shape[1] == r * r, (name, tau)
+            assert np.array_equal(k_got, k_want[:, :r * r]), (name, tau)
+        fitted += 1
+    # no side stops at a structure failure, the duality images included
+    assert fitted == 6 * len(CASES) + 3
