@@ -66,6 +66,7 @@ from .subspace import (
     Subspace,
     _kernel_rows,
     _mat_mul,
+    _pair_ranks,
     _stack_spaces,
     annihilators,
     as_matrix,
@@ -76,7 +77,6 @@ from .subspace import (
     multi_intersection,
     nullspace,
     nullspace_stack,
-    pair_rank_stack,
     projective_point_reps,
     rank,
     rank_stack,
@@ -234,10 +234,11 @@ def verify_isometric(e: Embedding) -> dict:
         DT = G.distance_matrix
         idx = np.array([G.index_of(img) for img in e.images], dtype=np.intp)
 
-    # k - dim(f(M_i) ∩ f(M_j)) = rank [f(M_i); f(M_j)] - k, all pairs at once
+    # k - dim(f(M_i) ∩ f(M_j)) = rank [f(M_i); f(M_j)] - k, all pairs at once,
+    # each f(M_j) reduced modulo f(M_i) through f(M_i)'s kernel rows
     bases = e._stacked_bases()[0]
     I, J = ps.maximal_pairs
-    got = pair_rank_stack(e.field, bases, bases, I, J) - k
+    got = _pair_ranks(e.field, bases, bases, I, J) - k
     bad = got != DS[I, J]
     if do_cross:
         bad |= DT[idx[I], idx[J]] != got

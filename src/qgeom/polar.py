@@ -43,12 +43,12 @@ from .grassmann import FiniteGraph
 from .subspace import (
     _PAIR_BLOCK_BYTES,
     Subspace,
+    _pair_ranks,
     as_matrix,
     as_stack,
     field_entries,
     mat_mul,
     nullspace,
-    pair_rank_stack,
     pairwise_intersection_dims,
     projective_point_reps,
     rref_stack,
@@ -306,7 +306,7 @@ class PolarSpace:
         t = len(self.maximals)
         subs = stack_bases(self.field, spaces, self.ambient_dim)
         I, T = np.divmod(np.arange(len(subs) * t), t)
-        ranks = pair_rank_stack(self.field, self.maximal_bases, subs, T, I)
+        ranks = _pair_ranks(self.field, self.maximal_bases, subs, T, I)
         inside = (ranks == self.rank).reshape(-1, t)
         table = np.sort(np.where(inside, np.arange(t), t), axis=1)
         return _read_only(table[:, :inside.sum(axis=1).max(initial=0)])
@@ -364,7 +364,7 @@ class PolarSpace:
         bases = self.maximal_bases
         I, J = self.maximal_pairs
         D = np.zeros((len(bases),) * 2, dtype=np.int16)
-        D[I, J] = D[J, I] = pair_rank_stack(self.field, bases, bases, I, J) - self.rank
+        D[I, J] = D[J, I] = _pair_ranks(self.field, bases, bases, I, J) - self.rank
         return _read_only(D)
 
     def source_distance_matrix(self) -> np.ndarray:

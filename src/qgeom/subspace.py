@@ -27,7 +27,11 @@ The kernel rows e_f - sum_i R[i, f] e_{p_i} of an RREF basis R, one
 per free column f, are written down without an elimination by two
 helpers: :func:`_kernel_gf2` on packed rows and :func:`_kernel_rows` on
 stacks of arrays, which gives :func:`nullspace`, :func:`nullspace_stack`
-and :class:`QuotientSpace` their kernels.
+and :class:`QuotientSpace` their kernels, and :func:`_pair_ranks` (behind
+:func:`pair_rank_stack`, verification, the source distances and the star
+tables) its pair ranks: rank [A; B] = dim A + rank (B K_A^T), so off
+the packed path only the residual blocks B K_A^T, one per pair, are
+eliminated.
 
 The canonical RREF bases of all k-dim subspaces come from one
 enumeration, :func:`iter_rref_batches`, whose 1-dim batches are the
@@ -330,15 +334,64 @@ def rank_stack(field: Field, stack) -> np.ndarray:
     return rref_stack(field, stack)[2]
 
 
-def pair_rank_stack(field: Field, A: np.ndarray, B: np.ndarray, I, J) -> np.ndarray:
-    """rank [A[I[p]]; B[J[p]]] for every p, as a (P,) int64 array: the
-    :func:`rank_stack` of the pair stack, concatenated one block at a time,
-    each block the size of one block of :func:`rref_stack`."""
+def pair_rank_stack(field: Field, A, B, I, J) -> np.ndarray:
+    """rank [A[I[p]]; B[J[p]]] for every p, as a (P,) int64 array, for any
+    (s, r, n) stack A and (t, r', n) stack B: one :func:`rref_stack` of A,
+    then :func:`_pair_ranks` on its reduced members."""
+    return _pair_ranks(field, rref_stack(field, A)[0], as_stack(field, B),
+                       np.asarray(I, dtype=np.intp), np.asarray(J, dtype=np.intp))
+
+
+def _pair_ranks(field: Field, R: np.ndarray, B: np.ndarray, I: np.ndarray,
+                J: np.ndarray) -> np.ndarray:
+    """rank [R[I[p]]; B[J[p]]] for every p, as a (P,) int64 array, for a
+    (s, r, n) stack R of RREF bases (zero rows after each) and a checked
+    (t, r', n) stack B.
+
+    rank [R_i; B_j] = dim R_i + rank (B_j K_i^T), where the rows of K_i
+    are the kernel rows of R_i (:func:`_kernel_rows`): x K_i^T is what
+    reducing x by R_i leaves at R_i's free columns, so it is x in
+    coordinates of GF(q)^n / R_i.  The kernel rows are written down once
+    per member of R, and one product of every row of B with every kernel
+    row gives all the residual blocks B_j K_i^T, which a gather picks out
+    pair by pair.  So the elimination runs on (P, r', n - min dim) blocks
+    instead of (P, r + r', n) ones.  B is taken in runs of members whose
+    product stays under the pair-kernel budget, and the pairs by their j.
+
+    On the packed GF(2) path a row is one word whatever its width, and
+    the pair stacks [R_i; B_j] are eliminated as they are, one block of
+    :func:`rref_stack` at a time: there the kernel rows, the product and
+    the gather cost more than the columns they save.
+    """
+    s, r, n = R.shape
+    t, rows = B.shape[:2]
     out = np.zeros(len(I), dtype=np.int64)
-    step = max(1, _PAIR_BLOCK_BYTES // max(1, 32 * (A.shape[1] + B.shape[1]) * A.shape[2]))
-    for lo in range(0, len(I), step):
-        out[lo:lo + step] = rank_stack(field, np.concatenate(
-            [A[I[lo:lo + step]], B[J[lo:lo + step]]], axis=1))
+    if not len(I):
+        return out
+    if _packed_gf2(field, n):
+        step = max(1, _PAIR_BLOCK_BYTES // max(1, 32 * (r + rows) * n))
+        for lo in range(0, len(I), step):
+            out[lo:lo + step] = rank_stack(field, np.concatenate(
+                [R[I[lo:lo + step]], B[J[lo:lo + step]]], axis=1))
+        return out
+    V, pivots = _kernel_rows(field, R)
+    dims = pivots.sum(axis=1)
+    w = n - int(dims.min(initial=n))
+    # each member's free rows first, in column order; past them pivot rows, zero
+    K = V[np.arange(s)[:, None], np.argsort(pivots, axis=1, kind="stable")[:, :w]]
+    KT = K.reshape(s * w, n).T
+    # a run's product, with its int32 temporaries, stays under the budget
+    step = max(1, _PAIR_BLOCK_BYTES // max(1, 16 * rows * s * w))
+    if step >= t:
+        runs = [(0, slice(None))]
+    else:
+        order = np.argsort(J, kind="stable")
+        cuts = np.searchsorted(J[order], np.arange(0, t + step, step))
+        runs = [(lo, order[a:b]) for lo, a, b in zip(range(0, t, step), cuts, cuts[1:]) if b > a]
+    for lo, p in runs:
+        Bc = B[lo:lo + step]
+        Y = _mat_mul(field, Bc.reshape(len(Bc) * rows, n), KT).reshape(len(Bc), rows, s, w)
+        out[p] = dims[I[p]] + rank_stack(field, Y[J[p] - lo, :, I[p]])
     return out
 
 
@@ -455,8 +508,9 @@ def reduce_rows_against(field: Field, basis: np.ndarray, pivots,
                         rows: np.ndarray) -> np.ndarray:
     """Residuals W - W[..., pivots] basis of rows W after elimination by an
     RREF basis: zero exactly for the rows in its span.  A stack of bases,
-    with one pivot list each, reduces a stack of row blocks."""
-    W = np.asarray(rows, dtype=np.uint8)
+    with one pivot list each, reduces a stack of row blocks.  The rows are
+    coerced and range-checked by :func:`as_stack`."""
+    W = as_stack(field, rows)
     coeffs = np.take_along_axis(W, np.asarray(pivots, dtype=np.intp)[..., None, :], axis=-1)
     return field.add_table[W, field.neg_table[mat_mul(field, coeffs, basis)]]
 

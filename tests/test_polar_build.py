@@ -40,6 +40,7 @@ from qgeom.subspace import (
     projective_point_reps,
     rank,
     rank_stack,
+    rref_stack,
 )
 
 FIELDS = {2: Field(2), 3: Field(3), 4: Field(2, 2), 5: Field(5)}
@@ -281,21 +282,49 @@ def test_source_distances_match_the_pair_rule(small_blocks, name):
                            for j, B in enumerate(M)] for i, A in enumerate(M)]
 
 
-@pytest.mark.parametrize("q", [2, 3, 4])
+def invertible(field, rng, n):
+    """A random invertible n x n matrix: unit lower times upper triangular
+    with a nonzero diagonal."""
+    L = np.tril(rng.integers(0, field.q, size=(n, n)), -1) + np.eye(n, dtype=np.int64)
+    U = np.triu(rng.integers(0, field.q, size=(n, n)), 1)
+    U[np.arange(n), np.arange(n)] = rng.integers(1, field.q, size=n)
+    return mat_mul(field, L.astype(np.uint8), U.astype(np.uint8))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16])
 def test_pair_rank_stack_matches_rank_stack(monkeypatch, q):
-    field = FIELDS[q]
+    """Pair ranks by kernel rows (``_pair_ranks`` on an RREF stack, and
+    ``pair_rank_stack`` on any stack) against the rank of each stacked
+    pair: A has a zero member, a full-rank member and members of rank at
+    most 2, A without its zero member leaves the full-rank member fewer
+    free columns than the widest, a third A has only full-rank members (no
+    free column at all), and B has a zero member.  Over GF(2), 62 and 63 columns sit on
+    the two sides of the packed width."""
+    field = FIELDS.get(q) or Field(*{8: (2, 3), 9: (3, 2), 16: (2, 4)}[q])
     rng = np.random.default_rng(q)
-    A = rng.integers(0, q, size=(9, 2, 5)).astype(np.uint8)
-    B = rng.integers(0, q, size=(7, 3, 5)).astype(np.uint8)
-    B[0] = 0
-    I, J = rng.integers(0, 9, size=50), rng.integers(0, 7, size=50)
-    want = [rank(field, np.vstack([A[i], B[j]])) for i, j in zip(I, J)]
-    for budget in (1, 32 * 5 * 5 * 3, 1 << 22):
-        monkeypatch.setattr(subspace, "_PAIR_BLOCK_BYTES", budget)
-        got = pair_rank_stack(field, A, B, I, J)
-        assert got.dtype == np.int64 and got.tolist() == want
-    assert pair_rank_stack(field, A, B, I[:0], J[:0]).shape == (0,)
-    assert np.array_equal(rank_stack(field, np.concatenate([A[I], B[J]], axis=1)), want)
+    for n in (5, 62, 63) if q == 2 else (5,):
+        A = np.zeros((9, n, n), dtype=np.uint8)
+        A[2:, :2] = rng.integers(0, q, size=(7, 2, n))
+        A[1] = invertible(field, rng, n)
+        full = np.stack([invertible(field, rng, n) for _ in range(3)])
+        B = rng.integers(0, q, size=(7, 3, n)).astype(np.uint8)
+        B[0] = 0
+        I, J = rng.integers(0, 9, size=50), rng.integers(0, 7, size=50)
+        I[:3] = 0, 1, 1
+        J[:3] = 3, 0, 5
+        for stack, rows in ((A, I), (A[1:], I % 8), (full, I % 3)):
+            want = [rank(field, np.vstack([stack[i], B[j]])) for i, j in zip(rows, J)]
+            R = rref_stack(field, stack)[0]
+            for budget in (1, 32 * 5 * 5 * 3, 1 << 22):
+                monkeypatch.setattr(subspace, "_PAIR_BLOCK_BYTES", budget)
+                got = pair_rank_stack(field, stack, B, rows, J)
+                assert got.dtype == np.int64 and got.tolist() == want, (n, budget)
+                got = subspace._pair_ranks(field, R, B, rows, J)
+                assert got.dtype == np.int64 and got.tolist() == want, (n, budget)
+                assert rank_stack(field, np.concatenate([R[rows], B[J]], axis=1)).tolist() == want
+            assert pair_rank_stack(field, stack, B, rows[:0], J[:0]).shape == (0,)
+            assert np.array_equal(rank_stack(field, np.concatenate([stack[rows], B[J]], axis=1)),
+                                  want)
 
 
 # ---------------------------------------------------------------------------

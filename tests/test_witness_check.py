@@ -201,6 +201,20 @@ def test_reduce_rows_against_matches_pivot_loop(q):
         assert not reduce_rows_against(field, S.basis, S.pivots, members).any()
 
 
+def test_reduce_rows_against_range_checks_its_rows():
+    """A float is not truncated and an int64 past 255 does not wrap (they
+    reduced to [0, 2, 0] and [0, 1, 0]); an in-range int64 array gives
+    what the same uint8 array gives."""
+    basis, pivots = np.array([[1, 0, 0]], dtype=np.uint8), [0]
+    for bad, rows in ((1.7, [[1.7, 2.9, 0]]), (257, np.array([[0, 257, 0]]))):
+        with pytest.raises(ValueError, match=f"^entry {bad} out of range for GF\\(3\\)$"):
+            reduce_rows_against(GF3, basis, pivots, rows)
+    rows = np.array([[2, 1, 2], [1, 0, 0]])
+    got = reduce_rows_against(GF3, basis, pivots, rows)
+    assert got.tolist() == [[0, 1, 2], [0, 0, 0]]
+    assert np.array_equal(got, reduce_rows_against(GF3, basis, pivots, rows.astype(np.uint8)))
+
+
 # ---------------------------------------------------------------------------
 # verify_on, against the one-image check on every image
 # ---------------------------------------------------------------------------
