@@ -43,7 +43,8 @@ from qgeom.subspace import (
     rref_stack,
 )
 
-FIELDS = {2: Field(2), 3: Field(3), 4: Field(2, 2), 5: Field(5)}
+FIELDS = {2: Field(2), 3: Field(3), 4: Field(2, 2), 5: Field(5), 8: Field(2, 3), 9: Field(3, 2),
+          16: Field(2, 4)}
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +299,9 @@ def test_pair_rank_stack_matches_rank_stack(monkeypatch, q):
     pair: A has a zero member, a full-rank member and members of rank at
     most 2, A without its zero member leaves the full-rank member fewer
     free columns than the widest, a third A has only full-rank members (no
-    free column at all), and B has a zero member.  Over GF(2), 62 and 63 columns sit on
-    the two sides of the packed width."""
-    field = FIELDS.get(q) or Field(*{8: (2, 3), 9: (3, 2), 16: (2, 4)}[q])
+    free column at all), and B has a zero member.  Over GF(2), 62 and 63
+    columns sit on the two sides of the packed width."""
+    field = FIELDS[q]
     rng = np.random.default_rng(q)
     for n in (5, 62, 63) if q == 2 else (5,):
         A = np.zeros((9, n, n), dtype=np.uint8)
