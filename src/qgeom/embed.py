@@ -387,7 +387,7 @@ def reduce_to_quotient(e: Embedding, U: Subspace) -> Embedding:
         raise DimensionMismatch(f"U has dimension {U.dim}, expected k - m = {d}")
     qs = QuotientSpace(e.target_n, U)
     B, dims = e._stacked_bases()
-    R, _, ranks = rref_stack(e.field, _mat_mul(e.field, B, qs.coordinate_map.T))
+    R, ranks = rref_stack(e.field, _mat_mul(e.field, B, qs.coordinate_map.T))
     # (S + U)/U has dimension dim S - dim U exactly when S contains U
     bad = np.flatnonzero(ranks != np.array(dims, dtype=np.int64) - d)
     if bad.size:
@@ -891,7 +891,7 @@ def _fit_semilinear(fa: Embedding, fb: Embedding, budget_state: list[int],
         kernel = nullspace(f, system)
         if kernel.shape[0] == 0:
             continue
-        K = Subspace(f, kernel.shape[1], kernel)
+        K = Subspace._adopt(f, kernel.shape[1], kernel)
         inv = invert_matrix(f, mat_frobenius(f, D, tau).T)
         for u in K.all_vectors():
             if not u.any():

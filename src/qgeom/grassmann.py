@@ -79,7 +79,7 @@ def enum_grassmannian(field: Field, n: int, k: int,
     out = []
     for batch in iter_rref_batches(field, n, k):
         for mat in batch:
-            out.append(Subspace(field, n, mat))
+            out.append(Subspace._adopt(field, n, mat))
     out.sort()
     return out
 
@@ -112,13 +112,18 @@ class FiniteGraph:
     """
 
     def __init__(self, vertices, adjacency):
+        """Neighbour lists may repeat an index; one outside [0, len(vertices))
+        is a BadIndex."""
         self.vertices = tuple(vertices)
-        self.adj = tuple(
-            np.sort((nbrs if isinstance(nbrs, np.ndarray)
-                     else np.fromiter(nbrs, dtype=np.int64)).astype(np.int32))
-            for nbrs in adjacency
-        )
-        if len(self.adj) != len(self.vertices):
+        n = len(self.vertices)
+        adj = []
+        for nbrs in adjacency:
+            a = np.sort(nbrs if isinstance(nbrs, np.ndarray) else np.fromiter(nbrs, dtype=np.int64))
+            if a.size and not 0 <= a[0] <= a[-1] < n:
+                raise BadIndex(f"neighbour {a[0] if a[0] < 0 else a[-1]} out of range [0, {n})")
+            adj.append(a.astype(np.int32))
+        self.adj = tuple(adj)
+        if len(self.adj) != n:
             raise DimensionMismatch("adjacency length != vertex count")
         self._index = {v: i for i, v in enumerate(self.vertices)}
         self._dist: np.ndarray | None = None
@@ -222,8 +227,13 @@ class FiniteGraph:
         return int(D.max())
 
     def subgraph(self, indices: list[int]) -> "FiniteGraph":
-        """Restriction to the given vertices (order preserved)."""
+        """Restriction to the given distinct vertices (order preserved); an
+        index out of range or repeated is a BadIndex."""
         pos = {int(i): t for t, i in enumerate(indices)}
+        for i in pos:
+            self._check_index(i)
+        if len(pos) != len(indices):
+            raise BadIndex("repeated vertex in a subgraph")
         adj = [
             [pos[int(v)] for v in self.adj[int(i)] if int(v) in pos]
             for i in indices

@@ -217,7 +217,7 @@ def radical(form: Form, ambient_dim: int | None = None) -> Subspace:
         d = ker.shape[0]
         if field.q**d > 4096:
             raise TooLarge(f"radical scan over {field.q ** d} vectors")
-        K = Subspace(field, np_dim, ker)
+        K = Subspace._adopt(field, np_dim, ker)
         vecs = K.all_vectors()
         good = [v for v in vecs if form.evaluate_quadratic(v) == 0]
         span = Subspace.span(field, np.array(good, dtype=np.uint8), np_dim)
@@ -227,7 +227,7 @@ def radical(form: Form, ambient_dim: int | None = None) -> Subspace:
         padded = np.zeros((ker.shape[0], n), dtype=np.uint8)
         padded[:, :np_dim] = ker
         ker = padded
-    return Subspace(field, n, ker)
+    return Subspace._adopt(field, n, ker)
 
 
 def is_totally_singular(form: Form, S: Subspace) -> bool:
@@ -283,7 +283,7 @@ class PolarSpace:
         self.maximals = tuple(maximals)
         vp = np.zeros((form.form_dim, ambient_dim), dtype=np.uint8)
         vp[np.arange(form.form_dim), np.arange(form.form_dim)] = 1
-        self.v_prime = Subspace(field, ambient_dim, vp)
+        self.v_prime = Subspace._adopt(field, ambient_dim, vp)
         self._point_index = {p: i for i, p in enumerate(self.points)}
         self._maximal_index = {m: i for i, m in enumerate(self.maximals)}
         self.canonical_embeddings: dict = {}  # k -> M + U, by qgeom.embed
@@ -450,7 +450,7 @@ def build_polar_space(field: Field, ambient_dim: int, form: Form,
     # pad representatives to the ambient dimension
     padded = np.zeros((point_vecs.shape[0], ambient_dim), dtype=np.uint8)
     padded[:, :npr] = point_vecs
-    points = [Subspace(field, ambient_dim, v[None, :]) for v in padded]
+    points = [Subspace._adopt(field, ambient_dim, v[None, :]) for v in padded]
     order = sorted(range(len(points)), key=lambda i: points[i].key)
     points = [points[i] for i in order]
     padded = padded[order]
@@ -473,7 +473,7 @@ def build_polar_space(field: Field, ambient_dim: int, form: Form,
             # S + P grows exactly when rank [S; P] = d + 1
             vals = mat_mul(field, S[lo:lo + step, :, :npr], profile.T)
             I, P = np.nonzero(~vals.any(axis=1))
-            R, _, ranks = rref_stack(field, np.concatenate(
+            R, ranks = rref_stack(field, np.concatenate(
                 [S[lo + I], padded[P][:, None]], axis=1))
             up = ranks == d + 1
             grew[lo + I[up]] = True
@@ -483,7 +483,7 @@ def build_polar_space(field: Field, ambient_dim: int, form: Form,
             break
         extended_all &= bool(grew.all())
         rows = np.frombuffer(b"".join(sorted(found)), dtype=np.uint8)
-        levels.append([Subspace(field, n, b) for b in rows.reshape(-1, d + 1, n)])
+        levels.append([Subspace._adopt(field, n, b) for b in rows.reshape(-1, d + 1, n)])
 
     m = len(levels) - 1
     if not extended_all:

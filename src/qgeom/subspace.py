@@ -11,27 +11,28 @@ lists everywhere in this package.
 Over GF(2) with at most 62 columns a packed path replaces the tables:
 each row is one Python int, and one elimination, :func:`_echelon_gf2`,
 backs :func:`rank`, :func:`rref`, :func:`nullspace` and the subspace
-lattice (sum, intersection and its dimension, annihilator, containment,
-:func:`multi_intersection`, :func:`span_dim`).  Each such subspace
-caches its RREF rows packed this way: one born on this path keeps them
-from birth, with a read-only basis over the bytes that are also its key;
-any other fills them on first use.  The zero subspace is one shared
-instance per (field, n).  The stacked kernels (:func:`rref_stack` and
-the ones built on it) pack each row of a stack into one int64 word and
-eliminate by XOR over the whole stack.  Every other field or width
-takes the table-driven path, which is also the packed paths'
-differential oracle in the tests; RREF bases are unique, so both give
-the same bytes.
+lattice (:meth:`Subspace.span` and so the sum, intersection and its
+dimension, annihilator, :func:`multi_intersection`, :func:`span_dim`).
+Each such subspace caches its RREF rows packed this way: one born on
+this path keeps them from birth, with a read-only basis over the bytes
+that are also its key; any other fills them on first use.  The zero
+subspace is one shared instance per (field, n).  The stacked kernels
+(:func:`rref_stack` and the ones built on it) pack each row of a stack
+into one int64 word and eliminate by XOR over the whole stack.  Every
+other field or width takes the table-driven path, which is also the
+packed paths' differential oracle in the tests; RREF bases are unique,
+so both give the same bytes.
 
 The kernel rows e_f - sum_i R[i, f] e_{p_i} of an RREF basis R, one
 per free column f, are written down without an elimination by two
 helpers: :func:`_kernel_gf2` on packed rows and :func:`_kernel_rows` on
 stacks of arrays, which gives :func:`nullspace`, :func:`nullspace_stack`
-and :class:`QuotientSpace` their kernels, and :func:`_pair_ranks` (behind
-:func:`pair_rank_stack`, verification, the source distances and the star
-tables) its pair ranks: rank [A; B] = dim A + rank (B K_A^T), so off
-the packed path only the residual blocks B K_A^T, one per pair, are
-eliminated.
+and :class:`QuotientSpace` their kernels, and :func:`_pair_ranks`
+(verification, the source distances and the star tables) its pair
+ranks: rank [A; B] = dim A + rank (B K_A^T), so off the packed path only
+the residual blocks B K_A^T, one per pair, are eliminated.  Membership
+is one product with the cached annihilator: x lies in S exactly when
+x A^T = 0 for the annihilator basis A of S.
 
 The canonical RREF bases of all k-dim subspaces come from one
 enumeration, :func:`iter_rref_batches`, whose 1-dim batches are the
@@ -41,7 +42,10 @@ Entries are range-checked where data enters: every public matrix
 function coerces and checks its arguments (:func:`as_stack`), and an entry
 that is not an integer in 0..q-1 is a ValueError, never truncated or
 wrapped.  :func:`_mat_mul`, the product behind :func:`mat_mul`, skips
-that check, for operands the library built and checked itself.
+that check, for operands the library built and checked itself, and so
+does :meth:`Subspace._adopt` for RREF bases the library built; the
+public ``Subspace(field, n, basis)`` checks entries and that the basis
+is in RREF.
 """
 
 from __future__ import annotations
@@ -194,7 +198,7 @@ def _kernel_gf2(rows, n: int) -> list[int]:
     return _reduced_gf2(_echelon_gf2(free))
 
 
-def _rref_block_gf2(A: np.ndarray, ranks: np.ndarray, pivots: np.ndarray) -> None:
+def _rref_block_gf2(A: np.ndarray, ranks: np.ndarray) -> None:
     """One block of :func:`rref_stack` on the packed path, reduced in place.
 
     Row j of member b is the int64 word Z[r + j, b], and the pivot rows
@@ -216,13 +220,6 @@ def _rref_block_gf2(A: np.ndarray, ranks: np.ndarray, pivots: np.ndarray) -> Non
     P = Z[:r]
     A[...] = ((P[:, :, None] >> shifts) & 1).transpose(1, 0, 2)
     ranks[:] = np.count_nonzero(P, axis=0)
-    # each row's lead bit: copy it into every lower bit, then keep the top
-    k = 1
-    while k < n:
-        P |= P >> k
-        k *= 2
-    P ^= P >> 1
-    pivots[...] = (np.bitwise_or.reduce(P, axis=0)[:, None] >> shifts) & 1
 
 
 def rref(field: Field, mat) -> tuple[np.ndarray, list[int]]:
@@ -273,10 +270,10 @@ def rank(field: Field, mat) -> int:
     return len(rref(field, A)[1])
 
 
-def rref_stack(field: Field, stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def rref_stack(field: Field, stack) -> tuple[np.ndarray, np.ndarray]:
     """:func:`rref` of each member of a (B, r, n) stack: the reduced
-    stack (rows of the RREF, then zero rows), the (B, n) pivot-column mask
-    and the (B,) int64 ranks.  The input is range-checked and left as it is.
+    stack (rows of the RREF, then zero rows) and the (B,) int64 ranks.
+    The input is range-checked and left as it is.
 
     Over GF(2) with at most 62 columns each row is one int64 word and
     the stack is eliminated by XOR (:func:`_rref_block_gf2`) in at most
@@ -290,24 +287,23 @@ def rref_stack(field: Field, stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     if R.ndim != 3:
         raise DimensionMismatch(f"expected a (B, r, n) stack, got ndim={R.ndim}")
     B, r, n = R.shape
-    pivots = np.zeros((B, n), dtype=bool)
     ranks = np.zeros(B, dtype=np.int64)
     if r == 0 or n == 0:
-        return R, pivots, ranks
+        return R, ranks
     # the update indexes flat tables with up to four (b, r, n) intp arrays;
     # the packed path packs and unpacks through up to two (b, r, n) int64 ones
     step = max(1, _PAIR_BLOCK_BYTES // (32 * r * n))
     if _packed_gf2(field, n):
         for lo in range(0, B, step):
-            _rref_block_gf2(R[lo:lo + step], ranks[lo:lo + step], pivots[lo:lo + step])
-        return R, pivots, ranks
+            _rref_block_gf2(R[lo:lo + step], ranks[lo:lo + step])
+        return R, ranks
     q = np.intp(field.q)
     mulT, mulF, addF = field.mul_table, field.mul_table.ravel(), field.add_table.ravel()
     negT, invT = field.neg_table, field.inv_table
     rows = np.arange(r)
     for lo in range(0, B, step):
         # views: the block is reduced in place, the ranks count up in ranks
-        A, rk, pv = R[lo:lo + step], ranks[lo:lo + step], pivots[lo:lo + step]
+        A, rk = R[lo:lo + step], ranks[lo:lo + step]
         for c in range(n):
             cand = (A[:, :, c] != 0) & (rows >= rk[:, None])
             hb = np.flatnonzero(cand.any(axis=1))
@@ -325,21 +321,12 @@ def rref_stack(field: Field, stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]
             f[rows == top[:, None]] = 0
             A[hb] = addF[sub * q + mulF[f[:, :, None] + prow[:, None, :]]]
             rk[hb] += 1
-            pv[hb, c] = True
-    return R, pivots, ranks
+    return R, ranks
 
 
 def rank_stack(field: Field, stack) -> np.ndarray:
     """Row ranks of a (B, r, n) stack of matrices, as a (B,) int64 array."""
-    return rref_stack(field, stack)[2]
-
-
-def pair_rank_stack(field: Field, A, B, I, J) -> np.ndarray:
-    """rank [A[I[p]]; B[J[p]]] for every p, as a (P,) int64 array, for any
-    (s, r, n) stack A and (t, r', n) stack B: one :func:`rref_stack` of A,
-    then :func:`_pair_ranks` on its reduced members."""
-    return _pair_ranks(field, rref_stack(field, A)[0], as_stack(field, B),
-                       np.asarray(I, dtype=np.intp), np.asarray(J, dtype=np.intp))
+    return rref_stack(field, stack)[1]
 
 
 def _pair_ranks(field: Field, R: np.ndarray, B: np.ndarray, I: np.ndarray,
@@ -434,7 +421,7 @@ def nullspace_stack(field: Field, stack) -> tuple[np.ndarray, np.ndarray]:
     kernel's RREF basis.
     """
     S = as_stack(field, stack)
-    R, _, ranks = rref_stack(field, S[:, :, ::-1] if S.ndim == 3 else S)
+    R, ranks = rref_stack(field, S[:, :, ::-1] if S.ndim == 3 else S)
     V, pivots = _kernel_rows(field, R)
     order = np.argsort(pivots[:, ::-1], axis=1, kind="stable")
     return np.take_along_axis(V[:, ::-1, ::-1], order[:, :, None], axis=1), R.shape[2] - ranks
@@ -442,7 +429,7 @@ def nullspace_stack(field: Field, stack) -> tuple[np.ndarray, np.ndarray]:
 
 def span_stack(field: Field, stack) -> list[Subspace]:
     """The row spaces of a (B, r, n) stack, by one :func:`rref_stack`."""
-    R, _, ranks = rref_stack(field, stack)
+    R, ranks = rref_stack(field, stack)
     R.setflags(write=False)
     return _stack_spaces(field, R, ranks.tolist())
 
@@ -504,17 +491,6 @@ def invert_matrix(field: Field, A) -> np.ndarray:
     return R[:, n:].copy()
 
 
-def reduce_rows_against(field: Field, basis: np.ndarray, pivots,
-                        rows: np.ndarray) -> np.ndarray:
-    """Residuals W - W[..., pivots] basis of rows W after elimination by an
-    RREF basis: zero exactly for the rows in its span.  A stack of bases,
-    with one pivot list each, reduces a stack of row blocks.  The rows are
-    coerced and range-checked by :func:`as_stack`."""
-    W = as_stack(field, rows)
-    coeffs = np.take_along_axis(W, np.asarray(pivots, dtype=np.intp)[..., None, :], axis=-1)
-    return field.add_table[W, field.neg_table[mat_mul(field, coeffs, basis)]]
-
-
 # -- canonical subspaces ------------------------------------------------------
 
 class Subspace:
@@ -533,14 +509,18 @@ class Subspace:
     __slots__ = ("field", "ambient_dim", "basis", "_bytes", "_hash",
                  "_pivots", "_ann", "_gf2")
 
-    def __init__(self, field: Field, ambient_dim: int, basis: np.ndarray):
-        # callers must pass a verified RREF basis; use span() otherwise
-        b = np.asarray(basis, dtype=np.uint8)
-        if b.ndim != 2 or b.shape[1] != ambient_dim:
-            raise DimensionMismatch(f"basis shape {b.shape} vs ambient {ambient_dim}")
-        b = b.copy()
-        b.setflags(write=False)
-        self._fill(field, int(ambient_dim), b, b.tobytes())
+    def __init__(self, field: Field, ambient_dim: int, basis):
+        """The subspace with this RREF basis.  Entries are range-checked
+        (:func:`as_matrix`), and a basis that is not its own RREF, zero
+        rows included, is a ValueError; :meth:`span` takes any rows."""
+        b = as_matrix(field, basis)
+        if np.ndim(basis) != 2 or b.shape[1] != ambient_dim:
+            raise DimensionMismatch(f"basis shape {np.shape(basis)} vs ambient {ambient_dim}")
+        R = rref(field, b)[0]
+        if not np.array_equal(R, b):
+            raise ValueError("basis is not in reduced row echelon form; use Subspace.span")
+        R.setflags(write=False)
+        self._fill(field, int(ambient_dim), R, R.tobytes())
 
     def _fill(self, field: Field, ambient_dim: int, basis: np.ndarray, raw: bytes) -> None:
         self.field = field
@@ -557,8 +537,10 @@ class Subspace:
     @classmethod
     def _adopt(cls, field: Field, ambient_dim: int, basis: np.ndarray,
                raw: bytes | None = None) -> "Subspace":
-        """The subspace on a read-only RREF basis the library built, kept as
-        it is (no copy, no check); raw is its bytes when already known."""
+        """The subspace on an RREF basis the library built and no longer
+        writes, kept as it is (no copy, no check) and made read-only; raw
+        is its bytes when already known."""
+        basis.setflags(write=False)
         s = cls.__new__(cls)
         s._fill(field, ambient_dim, basis, basis.tobytes() if raw is None else raw)
         return s
@@ -580,7 +562,7 @@ class Subspace:
             words = _reduced_gf2(_echelon_gf2(_pack_gf2(A)))
             return cls._from_gf2(field, n, words)
         R, _ = rref(field, A)
-        return cls(field, n, R) if len(R) else cls.zero(field, n)
+        return cls._adopt(field, n, R) if len(R) else cls.zero(field, n)
 
     @classmethod
     def _from_gf2(cls, field: Field, ambient_dim: int, words: list[int]) -> "Subspace":
@@ -604,12 +586,13 @@ class Subspace:
         key = (field, ambient_dim)
         z = _ZEROS.get(key)
         if z is None:
-            z = _ZEROS[key] = cls(field, ambient_dim, np.zeros((0, ambient_dim), dtype=np.uint8))
+            z = _ZEROS[key] = cls._adopt(field, ambient_dim,
+                                         np.zeros((0, ambient_dim), dtype=np.uint8))
         return z
 
     @classmethod
     def full(cls, field: Field, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, np.eye(ambient_dim, dtype=np.uint8))
+        return cls._adopt(field, ambient_dim, np.eye(ambient_dim, dtype=np.uint8))
 
     # -- basic queries -------------------------------------------------------
 
@@ -637,19 +620,16 @@ class Subspace:
         return self._pivots
 
     def contains_vector(self, v) -> bool:
+        """True iff v lies in self: the annihilator's rows all kill it."""
         w = as_stack(self.field, v).reshape(1, -1)
-        return not reduce_rows_against(self.field, self.basis, self.pivots, w).any()
+        return not _mat_mul(self.field, w, self.annihilator().basis.T).any()
 
     def contains(self, other: "Subspace") -> bool:
-        """True iff other is a subspace of self."""
+        """True iff other is a subspace of self: the annihilator's rows
+        kill every basis row of other."""
         self._check_compatible(other)
-        if other.dim > self.dim:
-            return False
-        if self._packed():
-            # no row of other takes a new lead
-            return len(_echelon_gf2(other._words(), self._pivot_table())) == self.dim
-        return not reduce_rows_against(
-            self.field, self.basis, self.pivots, other.basis).any()
+        return other.dim <= self.dim and not _mat_mul(
+            self.field, other.basis, self.annihilator().basis.T).any()
 
     def all_vectors(self) -> np.ndarray:
         """Every member vector, (q^dim, n); small dimensions only."""
@@ -666,9 +646,6 @@ class Subspace:
     def __add__(self, other: "Subspace") -> "Subspace":
         """Sum of subspaces (span of the union of bases)."""
         self._check_compatible(other)
-        if self._packed():
-            return Subspace._from_gf2(self.field, self.ambient_dim, _reduced_gf2(
-                _echelon_gf2(other._words(), self._pivot_table())))
         stacked = np.vstack([self.basis, other.basis])
         return Subspace.span(self.field, stacked, self.ambient_dim)
 
@@ -700,7 +677,7 @@ class Subspace:
             if self._packed():
                 self._ann = Subspace._from_gf2(self.field, n, _kernel_gf2(self._words(), n))
             else:
-                self._ann = Subspace(self.field, n, nullspace(self.field, self.basis))
+                self._ann = Subspace._adopt(self.field, n, nullspace(self.field, self.basis))
         return self._ann
 
     # -- value semantics ---------------------------------------------------------
@@ -757,7 +734,7 @@ def multi_intersection(spaces: list[Subspace]) -> Subspace:
                 return Subspace.zero(field, n)
         return Subspace._from_gf2(field, n, _kernel_gf2(_reduced_gf2(pivots), n))
     K = nullspace(field, np.vstack([a.basis for a in annihilators(spaces)]))
-    return Subspace(field, n, K) if len(K) else Subspace.zero(field, n)
+    return Subspace._adopt(field, n, K) if len(K) else Subspace.zero(field, n)
 
 
 def span_dim(spaces) -> int:

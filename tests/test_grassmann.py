@@ -141,6 +141,38 @@ def test_bfs_unreachable_is_distinct():
     assert not g.is_connected()
 
 
+@pytest.mark.parametrize("adj", [
+    [[-1], [], []],
+    [[1], [0, 3], []],
+    [np.array([2, 5]), [], [0]],
+    [[], [], [0, 1, 0x7fffffff]],
+])
+def test_out_of_range_neighbours_are_a_bad_index(adj):
+    """-1 used to wrap to the last vertex (D[0, 2] = 1 but D[2, 0] = -1)
+    and an index past the end was a raw numpy IndexError at the first
+    distance."""
+    with pytest.raises(BadIndex, match="out of range"):
+        FiniteGraph(["a", "b", "c"], adj)
+
+
+def test_repeated_neighbours_are_still_allowed():
+    g = FiniteGraph(["a", "b", "c"], [[1, 1], [0, 0, 2], [1]])
+    assert [a.tolist() for a in g.adj] == [[1, 1], [0, 0, 2], [1]]
+    assert g.distance_matrix.tolist() == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+
+
+@pytest.mark.parametrize("indices", [[-1, 1], [1, 1], [0, 3], [2, 0, 2]])
+def test_subgraph_takes_distinct_indices_in_range(indices):
+    """On the path a-b-c, [-1, 1] gave an asymmetric graph and [1, 1]
+    repeated the label b."""
+    g = FiniteGraph(["a", "b", "c"], [[1], [0, 2], [1]])
+    with pytest.raises(BadIndex):
+        g.subgraph(indices)
+    h = g.subgraph([2, 1])
+    assert h.vertices == ("c", "b")
+    assert h.distance_matrix.tolist() == [[0, 1], [1, 0]]
+
+
 # ---------------------------------------------------------------------------
 # stars
 # ---------------------------------------------------------------------------

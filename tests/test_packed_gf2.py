@@ -3,9 +3,10 @@ nullspace and the stacked kernels.
 
 On GF(2) with at most 62 columns, ``rank``, ``rref`` and ``nullspace``
 pack each row into one int, and ``rref_stack`` (under ``rank_stack``,
-``nullspace_stack`` and ``pair_rank_stack``) packs each row of a stack
-into one int64 word.  The oracle is the table-driven elimination that
-every other field uses, reached here by switching the packed path off.
+``nullspace_stack`` and the pair ranks) packs each row of a stack into
+one int64 word.  The oracle is the table-driven elimination that every
+other field uses, reached here by switching the packed path off; the
+pair ranks are also held to a ``rank_stack`` of the concatenated pairs.
 """
 
 import numpy as np
@@ -16,7 +17,6 @@ from qgeom.gf import Field
 from qgeom.subspace import (
     nullspace,
     nullspace_stack,
-    pair_rank_stack,
     rank,
     rank_stack,
     rref,
@@ -93,9 +93,9 @@ def test_packed_path_is_taken_up_to_62_columns(monkeypatch):
         calls.append(A.shape[1])
         return pack(A)
 
-    def stack_spy(A, ranks, pivots):
+    def stack_spy(A, ranks):
         stack_calls.append(A.shape[2])
-        return block(A, ranks, pivots)
+        return block(A, ranks)
 
     monkeypatch.setattr(subspace, "_pack_gf2", spy)
     monkeypatch.setattr(subspace, "_rref_block_gf2", stack_spy)
@@ -190,9 +190,14 @@ def test_packed_pair_ranks_match_table_driven(monkeypatch, cols):
     A[0] = 0
     B[1, :, :3] = np.eye(3, dtype=np.uint8)
     I, J = np.divmod(np.arange(63), 7)
-    got = pair_rank_stack(GF2, A, B, I, J)
-    want = table_driven(monkeypatch, lambda f, _: pair_rank_stack(f, A, B, I, J), None)
+
+    def pair_ranks(field, _):
+        return subspace._pair_ranks(field, rref_stack(field, A)[0], B, I, J)
+
+    got = pair_ranks(GF2, None)
+    want = table_driven(monkeypatch, pair_ranks, None)
     assert_same_arrays([got], [want])
+    assert_same_arrays([got], [rank_stack(GF2, np.concatenate([A[I], B[J]], axis=1))])
 
 
 @pytest.mark.parametrize("cols", [5, 62])

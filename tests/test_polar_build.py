@@ -36,7 +36,6 @@ from qgeom.subspace import (
     Subspace,
     mat_mul,
     nullspace,
-    pair_rank_stack,
     projective_point_reps,
     rank,
     rank_stack,
@@ -294,13 +293,13 @@ def invertible(field, rng, n):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16])
 def test_pair_rank_stack_matches_rank_stack(monkeypatch, q):
-    """Pair ranks by kernel rows (``_pair_ranks`` on an RREF stack, and
-    ``pair_rank_stack`` on any stack) against the rank of each stacked
-    pair: A has a zero member, a full-rank member and members of rank at
-    most 2, A without its zero member leaves the full-rank member fewer
-    free columns than the widest, a third A has only full-rank members (no
-    free column at all), and B has a zero member.  Over GF(2), 62 and 63
-    columns sit on the two sides of the packed width."""
+    """Pair ranks by kernel rows (``_pair_ranks`` on the RREF stack of
+    any stack) against the rank of each stacked pair: A has a zero
+    member, a full-rank member and members of rank at most 2, A without
+    its zero member leaves the full-rank member fewer free columns than
+    the widest, a third A has only full-rank members (no free column at
+    all), and B has a zero member.  Over GF(2), 62 and 63 columns sit on
+    the two sides of the packed width."""
     field = FIELDS[q]
     rng = np.random.default_rng(q)
     for n in (5, 62, 63) if q == 2 else (5,):
@@ -318,12 +317,10 @@ def test_pair_rank_stack_matches_rank_stack(monkeypatch, q):
             R = rref_stack(field, stack)[0]
             for budget in (1, 32 * 5 * 5 * 3, 1 << 22):
                 monkeypatch.setattr(subspace, "_PAIR_BLOCK_BYTES", budget)
-                got = pair_rank_stack(field, stack, B, rows, J)
-                assert got.dtype == np.int64 and got.tolist() == want, (n, budget)
                 got = subspace._pair_ranks(field, R, B, rows, J)
                 assert got.dtype == np.int64 and got.tolist() == want, (n, budget)
                 assert rank_stack(field, np.concatenate([R[rows], B[J]], axis=1)).tolist() == want
-            assert pair_rank_stack(field, stack, B, rows[:0], J[:0]).shape == (0,)
+            assert subspace._pair_ranks(field, R, B, rows[:0], J[:0]).shape == (0,)
             assert np.array_equal(rank_stack(field, np.concatenate([stack[rows], B[J]], axis=1)),
                                   want)
 

@@ -54,10 +54,8 @@ from qgeom.subspace import (
     multi_intersection,
     nullspace,
     nullspace_stack,
-    pair_rank_stack,
     projective_point_reps,
     rank_stack,
-    reduce_rows_against,
     rref_stack,
     span_stack,
     stack_bases,
@@ -142,10 +140,9 @@ SHAPES = [(0, 3, 4), (4, 0, 5), (4, 3, 0), (0, 0, 0), (40, 6, 5), (40, 4, 4),
 
 
 def check_rref_stack(field, S):
-    R, piv, ranks = rref_stack(field, S)
+    R, ranks = rref_stack(field, S)
     B, r, n = S.shape
     assert R.shape == (B, r, n) and R.dtype == np.uint8
-    assert piv.shape == (B, n) and piv.dtype == bool
     assert ranks.shape == (B,) and ranks.dtype == np.int64
     for b in range(B):
         want, pcols = oracle_rref(field, S[b])
@@ -153,7 +150,6 @@ def check_rref_stack(field, S):
         assert ranks[b] == d
         assert np.array_equal(R[b, :d], want)
         assert not R[b, d:].any()
-        assert np.flatnonzero(piv[b]).tolist() == pcols
     assert np.array_equal(rank_stack(field, S), ranks)
 
 
@@ -194,7 +190,7 @@ def test_mixed_ranks_in_one_stack():
     S[1, 0] = [0, 2, 1, 0]
     S[2, :2] = [[1, 2, 0, 1], [2, 1, 0, 2]]
     S[3] = [[0, 0, 1, 1], [1, 0, 0, 2], [0, 1, 2, 0]]
-    _, _, ranks = rref_stack(GF3, S)
+    _, ranks = rref_stack(GF3, S)
     assert ranks.tolist() == [0, 1, 1, 3]
     check_rref_stack(GF3, S)
     check_nullspace_stack(GF3, S)
@@ -239,7 +235,7 @@ def test_stack_errors_match_the_single_matrix_ones():
         assert str(stacked.value) == str(single.value)
         with pytest.raises(DimensionMismatch):
             fn(GF3, np.zeros((2, 2), dtype=np.uint8))
-    assert rref_stack(GF3, [[[1, 2], [2, 1]]])[2].tolist() == [1]
+    assert rref_stack(GF3, [[[1, 2], [2, 1]]])[1].tolist() == [1]
 
 
 def test_the_input_stack_is_left_alone():
@@ -509,8 +505,11 @@ def test_line_point_table_matches_the_per_point_rule(make, n):
 def parent_stacked(e):
     """The former ``Embedding.stacked``: bases, residual maps, dimensions."""
     B = stack_bases(e.field, e.images, e.target_n)
-    R = reduce_rows_against(e.field, B, (B != 0).argmax(axis=2),
-                            np.eye(e.target_n, dtype=np.uint8)[None])
+    # the residuals W - W[..., pivots] B of the rows W of the identity
+    f = e.field
+    W = np.eye(e.target_n, dtype=np.uint8)[None]
+    coeffs = np.take_along_axis(W, (B != 0).argmax(axis=2)[..., None, :], axis=-1)
+    R = f.add_table[W, f.neg_table[mat_mul(f, coeffs, B)]]
     return B, R, tuple(B.any(axis=2).sum(axis=1).tolist())
 
 
@@ -562,14 +561,16 @@ def parent_induce_point_map(g):
 
 
 def parent_check_line_images(ps, g, q_map):
-    """The former line checks: a pair_rank_stack, then a rank_stack."""
+    """The former line checks: the pair ranks, here by a rank_stack of the
+    concatenated pairs, then a rank_stack."""
     fieldq, n = ps.field, g.target_n
     q_bases = stack_bases(fieldq, q_map, n)
     lines, pairs = ps.line_points, ps.collinear_pairs
     C, T = ps.collinear_triples.T
     PQ = q_bases[pairs].reshape(len(pairs), 2 * q_bases.shape[1], n)
     B, _, dims = parent_stacked(g)
-    bad = np.flatnonzero(pair_rank_stack(fieldq, B, PQ, T, C) != np.array(dims)[T])
+    pair_ranks = rank_stack(fieldq, np.concatenate([B[T], PQ[C]], axis=1))
+    bad = np.flatnonzero(pair_ranks != np.array(dims)[T])
     if bad.size:
         (a, b), t = pairs[C[bad[0]]].tolist(), int(T[bad[0]])
         raise ContainmentViolation(

@@ -209,6 +209,133 @@ def test_contains():
     assert A.contains(Subspace.zero(GF2, 3))
 
 
+# every q <= 16, each in the largest n with q^n <= 4096 vectors
+PRIME_POWERS = {2: GF2, 3: GF3, 4: GF4, 5: Field(5), 7: Field(7), 8: Field(2, 3),
+                9: Field(3, 2), 11: Field(11), 13: Field(13), 16: Field(2, 4)}
+
+
+def member_codes(S):
+    """The members of S, each as its base-q digits read as one int."""
+    return set((S.all_vectors().astype(np.int64) @ S.field.q ** np.arange(S.ambient_dim)).tolist())
+
+
+def membership_spaces(field, n, rng):
+    """Zero, full, a random subspace of each dimension in between and a
+    random subspace of each of those."""
+    spaces = [Subspace.zero(field, n), Subspace.full(field, n)]
+    for d in range(1, n):
+        S = Subspace.span(field, rng.integers(0, field.q, size=(d, n)).astype(np.uint8), n)
+        sub = rng.integers(0, field.q, size=(max(1, S.dim // 2), S.dim)).astype(np.uint8)
+        spaces += [S, Subspace.span(field, mat_mul(field, sub, S.basis), n)]
+    return spaces
+
+
+@pytest.mark.parametrize("q", sorted(PRIME_POWERS))
+def test_contains_matches_enumeration(q):
+    """contains and contains_vector against the member sets of
+    all_vectors, over every pair of the spaces and random vectors plus
+    members of each."""
+    field = PRIME_POWERS[q]
+    n = max(k for k in range(1, 13) if q**k <= 4096)
+    rng = np.random.default_rng(400 + q)
+    spaces = membership_spaces(field, n, rng)
+    members = [member_codes(S) for S in spaces]
+    digits = q ** np.arange(n)
+    vectors = np.vstack([rng.integers(0, q, size=(30, n)).astype(np.uint8),
+                         np.zeros((1, n), dtype=np.uint8)]
+                        + [S.all_vectors()[-3:] for S in spaces])
+    codes = (vectors.astype(np.int64) @ digits).tolist()
+    for S, mine in zip(spaces, members):
+        assert [S.contains_vector(v) for v in vectors] == [c in mine for c in codes]
+        assert [S.contains(T) for T in spaces] == [theirs <= mine for theirs in members]
+
+
+@pytest.mark.parametrize("n", [62, 63])
+def test_contains_at_the_packed_width(n):
+    """GF(2)^62 takes the packed annihilator, GF(2)^63 the table-driven
+    one; small subspaces are enumerated, zero and full hold nothing and
+    everything."""
+    rng = np.random.default_rng(n)
+    zero, full = Subspace.zero(GF2, n), Subspace.full(GF2, n)
+    spaces = [Subspace.span(GF2, (rng.random((d, n)) < 0.3).astype(np.uint8), n)
+              for d in range(1, 6)]
+    spaces.append(Subspace.span(GF2, spaces[-1].basis[:2], n))
+    members = [{v.tobytes() for v in S.all_vectors()} for S in spaces]
+    vectors = np.vstack([(rng.random((20, n)) < 0.3).astype(np.uint8)]
+                        + [S.all_vectors()[-3:] for S in spaces])
+    for S, mine in zip(spaces, members):
+        assert [S.contains_vector(v) for v in vectors] == [v.tobytes() in mine for v in vectors]
+        assert [S.contains(T) for T in spaces] == [theirs <= mine for theirs in members]
+        assert S.contains(zero) and full.contains(S)
+        assert not zero.contains(S) and S.contains(full) == (S.dim == n)
+    assert [full.contains_vector(v) for v in vectors] == [True] * len(vectors)
+    assert [zero.contains_vector(v) for v in vectors] == [not v.any() for v in vectors]
+
+
+@pytest.mark.parametrize("field, basis", [
+    (GF3, [[7, 0, 0]]),
+    (GF3, [[1.7, 0, 0]]),
+    (GF3, [[2, 1, 0]]),
+    (GF3, [[0, 0, 0]]),
+    (GF3, [[1, 0, 0], [0, 0, 0]]),
+    (GF3, [[0, 1, 0], [1, 0, 0]]),
+    (GF3, [[1, 1, 0], [0, 1, 0]]),
+    (GF2, [[1, 1, 0], [0, 1, 1]]),
+    (GF4, [[1, 2, 0], [0, 0, 3]]),
+])
+def test_the_public_constructor_checks_its_basis(field, basis):
+    """An entry out of range (7 was kept, 1.7 became 1) or a basis that is
+    not its own RREF ([[2, 1, 0]] was not equal to its span) is a
+    ValueError."""
+    with pytest.raises(ValueError, match="out of range|reduced row echelon"):
+        Subspace(field, len(basis[0]), basis)
+
+
+@pytest.mark.parametrize("field, n", [(GF3, 3), (GF4, 4), (GF2, 62), (GF2, 63)])
+def test_the_public_constructor_takes_an_rref_basis(field, n):
+    rng = np.random.default_rng(n)
+    for d in range(n + 1 if n < 10 else 4):
+        S = Subspace.span(field, rng.integers(0, field.q, size=(d, n)).astype(np.uint8), n)
+        rows = S.basis.copy()
+        T = Subspace(field, n, rows)
+        assert T == S and hash(T) == hash(S) and T.key == S.key
+        rows[:] = 0
+        assert T == S and not T.basis.flags.writeable
+        if S.dim:
+            assert Subspace(field, n, S.basis.tolist()) == S
+    assert Subspace(GF3, 3, [[1, 2, 0]]) == Subspace.span(GF3, [[2, 1, 0]])
+    with pytest.raises(DimensionMismatch):
+        Subspace(field, n + 1, np.zeros((0, n), dtype=np.uint8))
+    with pytest.raises(DimensionMismatch):
+        Subspace(field, n, np.eye(n, dtype=np.uint8)[0])
+
+
+def test_library_subspaces_skip_the_public_check(monkeypatch):
+    """Library code holds verified RREF bases and adopts them: no call of
+    the checked constructor in an enumeration, a polar build, spans,
+    annihilators, intersections, the quotient analysis or a witness fit."""
+    from qgeom.embed import analyze_embedding, canonical_embedding, connecting_automorphism
+    from qgeom.polar import build_polar_space, radical
+
+    def refuse(self, *args):
+        raise AssertionError("the checked constructor was called")
+
+    monkeypatch.setattr(Subspace, "__init__", refuse)
+    for field in (GF2, GF3, GF4):
+        V = enum_grassmannian(field, 4, 2)
+        Subspace.zero(field, 9)
+        Subspace.full(field, 4).annihilator()
+        annihilators = [S.annihilator() for S in V[:5]]
+        multi_intersection(annihilators)
+        (V[0] + V[-1]).intersect(V[1])
+        gram = [[0, 1, 0, 0], [field.neg(1), 0, 0, 0], [0, 0, 0, 1], [0, 0, field.neg(1), 0]]
+        ps = build_polar_space(field, 5, Form(field, "alternating", 4, gram=gram))
+        radical(ps.form, 5)
+        e = canonical_embedding(ps, 3)
+        analyze_embedding(e)
+        connecting_automorphism(e, e)
+
+
 def test_modular_law_exhaustive_gf2_4():
     """dim(A+B) + dim(A∩B) = dim A + dim B over the whole lattice of GF(2)^4."""
     lattice = all_subspaces(GF2, 4)

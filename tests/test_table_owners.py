@@ -33,9 +33,9 @@ from qgeom.grassmann import FiniteGraph
 from qgeom.polar import Form, PolarSpace, build_polar_space
 from qgeom.subspace import (
     mat_mul,
-    pair_rank_stack,
     projective_point_reps,
     rank,
+    rank_stack,
     stack_bases,
 )
 
@@ -81,7 +81,7 @@ def oracle_incidence(ps, spaces):
     bases = stack_bases(ps.field, ps.maximals, ps.ambient_dim)
     subs = stack_bases(ps.field, spaces, ps.ambient_dim)
     I, T = np.divmod(np.arange(len(subs) * len(bases)), len(bases))
-    ranks = pair_rank_stack(ps.field, bases, subs, T, I)
+    ranks = rank_stack(ps.field, np.concatenate([bases[T], subs[I]], axis=1))
     inside = (ranks == ps.rank).reshape(len(subs), len(bases))
     return tuple(tuple(np.flatnonzero(row).tolist()) for row in inside)
 
@@ -103,7 +103,7 @@ def oracle_distances(ps):
     bases = stack_bases(ps.field, ps.maximals, ps.ambient_dim)
     I, J = np.triu_indices(len(bases), 1)
     D = np.zeros((len(bases),) * 2, dtype=np.int16)
-    D[I, J] = D[J, I] = pair_rank_stack(ps.field, bases, bases, I, J) - ps.rank
+    D[I, J] = D[J, I] = rank_stack(ps.field, np.concatenate([bases[I], bases[J]], axis=1)) - ps.rank
     return D
 
 

@@ -1,10 +1,9 @@
 """The whole-table witness check and the stacked product under it.
 
 ``mat_mul`` on stacks is checked against the former 2-d product, copied
-below as the oracle, member by member; ``reduce_rows_against`` against
-the former loop over pivots; ``EquivalenceWitness.verify_on`` against
-the former one-image check ``maps_onto`` applied to every image.  A
-composite witness that is right on the first image only must not get
+below as the oracle, member by member; ``EquivalenceWitness.verify_on``
+against the former one-image check ``maps_onto`` applied to every image.
+A composite witness that is right on the first image only must not get
 past ``connecting_automorphism``, and the witnesses themselves are held
 to SHA-256 digests recorded before the whole-table check came in.  The
 witness fit, which solves for the collineation A alone, is checked
@@ -41,7 +40,6 @@ from qgeom.subspace import (
     multi_intersection,
     nullspace,
     rank,
-    reduce_rows_against,
 )
 
 FIELDS = {2: Field(2), 3: Field(3), 4: Field(2, 2), 5: Field(5), 7: Field(7),
@@ -177,42 +175,6 @@ def test_witness_matrix_is_range_checked_when_built(field, bad):
     assert str(built.value) == str(public.value) == f"entry {bad} out of range for {field}"
     with pytest.raises(DimensionMismatch, match="cannot multiply"):
         mat_mul(field, np.eye(3, dtype=np.uint8), np.eye(2, dtype=np.uint8))
-
-
-# ---------------------------------------------------------------------------
-# reduce_rows_against
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("q", sorted(FIELDS))
-def test_reduce_rows_against_matches_pivot_loop(q):
-    field = FIELDS[q]
-    rng = np.random.default_rng(7 * q)
-    n = 6
-    for d in range(n + 1):
-        S = Subspace.span(field, rng.integers(0, q, size=(d, n)).astype(np.uint8), n)
-        members = mat_mul(field, rng.integers(0, q, size=(4, S.dim)).astype(np.uint8),
-                          S.basis)
-        rows = np.vstack([rng.integers(0, q, size=(5, n)).astype(np.uint8), members,
-                          np.zeros((1, n), dtype=np.uint8)])
-        for W in (rows, rows[:0]):
-            got = reduce_rows_against(field, S.basis, S.pivots, W)
-            assert np.array_equal(got, oracle_reduce(field, S.basis, S.pivots, W))
-        # members of S reduce to zero
-        assert not reduce_rows_against(field, S.basis, S.pivots, members).any()
-
-
-def test_reduce_rows_against_range_checks_its_rows():
-    """A float is not truncated and an int64 past 255 does not wrap (they
-    reduced to [0, 2, 0] and [0, 1, 0]); an in-range int64 array gives
-    what the same uint8 array gives."""
-    basis, pivots = np.array([[1, 0, 0]], dtype=np.uint8), [0]
-    for bad, rows in ((1.7, [[1.7, 2.9, 0]]), (257, np.array([[0, 257, 0]]))):
-        with pytest.raises(ValueError, match=f"^entry {bad} out of range for GF\\(3\\)$"):
-            reduce_rows_against(GF3, basis, pivots, rows)
-    rows = np.array([[2, 1, 2], [1, 0, 0]])
-    got = reduce_rows_against(GF3, basis, pivots, rows)
-    assert got.tolist() == [[0, 1, 2], [0, 0, 0]]
-    assert np.array_equal(got, reduce_rows_against(GF3, basis, pivots, rows.astype(np.uint8)))
 
 
 # ---------------------------------------------------------------------------
