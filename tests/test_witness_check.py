@@ -8,6 +8,8 @@ past ``connecting_automorphism``, and the witnesses themselves are held
 to SHA-256 digests recorded before the whole-table check came in.  The
 witness fit, which solves for the collineation A alone, is checked
 against the former system in A and one scalar per point, copied below.
+Membership rows, which ``reduce_rows_against`` once took, get the same
+range checks through ``Subspace.contains_vector``.
 """
 
 import hashlib
@@ -175,6 +177,29 @@ def test_witness_matrix_is_range_checked_when_built(field, bad):
     assert str(built.value) == str(public.value) == f"entry {bad} out of range for {field}"
     with pytest.raises(DimensionMismatch, match="cannot multiply"):
         mat_mul(field, np.eye(3, dtype=np.uint8), np.eye(2, dtype=np.uint8))
+
+
+# ---------------------------------------------------------------------------
+# membership rows, which the former reduce_rows_against took
+# ---------------------------------------------------------------------------
+
+def test_reduce_rows_against_range_checks_its_rows():
+    """Membership now goes through the annihilator in ``contains_vector``;
+    its rows get the checks ``reduce_rows_against`` gave them.  A float is
+    not truncated and an int64 past 255 does not wrap; an in-range int64
+    row gives what the same uint8 row gives, and agrees with the residual
+    of the pivot loop."""
+    S = Subspace.span(GF3, np.array([[1, 0, 0]], dtype=np.uint8), 3)
+    for bad, row in ((1.7, [1.7, 2.9, 0]), (257, np.array([0, 257, 0]))):
+        with pytest.raises(ValueError, match=f"^entry {bad} out of range for GF\\(3\\)$"):
+            S.contains_vector(row)
+    rows = np.array([[2, 1, 2], [1, 0, 0]])
+    residuals = oracle_reduce(GF3, S.basis, S.pivots, rows.astype(np.uint8))
+    assert residuals.tolist() == [[0, 1, 2], [0, 0, 0]]
+    got = [S.contains_vector(r) for r in rows]
+    assert got == [False, True]
+    assert got == [S.contains_vector(r.astype(np.uint8)) for r in rows]
+    assert got == [not r.any() for r in residuals]
 
 
 # ---------------------------------------------------------------------------
